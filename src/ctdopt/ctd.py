@@ -23,6 +23,7 @@ __all__ = [
     "inner",
     "frobenius_norm",
     "hadamard",
+    "square",
     "add",
     "scale",
     "renormalize",
@@ -59,8 +60,9 @@ class CTD:
         One matrix per dimension; ``factors[j]`` has shape ``(M_j, r)`` and
         every column has unit Euclidean norm.
     validate : bool
-        Check the invariants above on construction.  Internal callers that
-        guarantee them pass False.
+        Check the invariants above, and that every s-value and factor entry
+        is finite, on construction.  Internal callers that guarantee them
+        pass False.
 
     Notes
     -----
@@ -79,6 +81,10 @@ class CTD:
             if not factors:
                 raise ValueError("need at least one dimension")
             r = svalues.shape[0]
+            # NaN compares False, so the norm and sign checks below would
+            # let it through.
+            if not np.all(np.isfinite(svalues)):
+                raise ValueError("s-values must be finite")
             for j, F in enumerate(factors):
                 if F.ndim != 2 or F.shape[1] != r:
                     raise ValueError(
@@ -86,6 +92,8 @@ class CTD:
                     )
                 if F.shape[0] < 1:
                     raise ValueError(f"dimension {j} has zero mode size")
+                if not np.all(np.isfinite(F)):
+                    raise ValueError(f"factor {j} has non-finite entries")
                 if r:
                     norms = np.linalg.norm(F, axis=0)
                     if np.max(np.abs(norms - 1.0)) > _COLUMN_NORM_TOL:
@@ -279,6 +287,21 @@ def hadamard(U, V, max_rank=None):
         prod = np.einsum("il,im->ilm", Fu, Fv).reshape(M, r)
         factors.append(prod)
     return _normalized(svalues, factors)
+
+
+def square(U):
+    """Entrywise square U * U with one term per unordered pair of terms.
+
+    The pair a <= b gets weight s_a * s_b, doubled when a != b, so the result
+    has rank r (r + 1) / 2 where ``hadamard(U, U)`` has r^2: the off-diagonal
+    products appear once instead of twice.  Terms are in ``np.triu_indices``
+    order (all pairs of U's first term before U's second), and the result is
+    canonical.
+    """
+    a, b = np.triu_indices(U.rank)
+    svalues = U.svalues[a] * U.svalues[b]
+    svalues[a != b] *= 2.0
+    return _normalized(svalues, [F[:, a] * F[:, b] for F in U.factors])
 
 
 def add(U, V):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ctd import eval_entry, frobenius_norm, hadamard, inner, ones_ctd, scale
+from .ctd import eval_entry, frobenius_norm, hadamard, inner, ones_ctd, scale, square
 from .reduction import ReductionConfig, reduce
 
 __all__ = [
@@ -340,11 +340,14 @@ def power_method_max(U, cfg):
 def squaring_max(U, cfg):
     """Entrywise squaring iteration toward the max-|entry| location.
 
-    Starts from U / ||U||_F and repeats: square entrywise (Hadamard with
-    itself), reduce, normalize.  After k steps the iterate follows U^(2^k),
-    so the second-to-first magnitude ratio squares every iteration.  The
-    convergence estimate is lambda_k = <Y_k, U>, which starts at ||U||_F and
-    decreases toward the leading entry's magnitude.
+    Starts from U / ||U||_F and repeats: square entrywise, reduce,
+    normalize.  The square of a rank-r iterate keeps one term per unordered
+    pair of its terms, r (r + 1) / 2 in all (:func:`~ctdopt.ctd.square`),
+    not the r^2 of a Hadamard product with itself, so the reduction never
+    sees duplicate off-diagonal products.  After k steps the iterate
+    follows U^(2^k), so the second-to-first magnitude ratio squares every
+    iteration.  The convergence estimate is lambda_k = <Y_k, U>, which
+    starts at ||U||_F and decreases toward the leading entry's magnitude.
     """
     if U.rank == 0:
         raise ValueError("input tensor is identically zero")
@@ -361,7 +364,7 @@ def squaring_max(U, cfg):
     lam_prev = trace.records[0].lam
     for k in range(1, cfg.k_max + 1):
         t0 = time.perf_counter()
-        Q = hadamard(Y, Y)
+        Q = square(Y)
         Y_new, tol_met = _apply_reduction(Q, cfg.reduction)
         ny = frobenius_norm(Y_new)
         if ny <= 1e-300:

@@ -94,10 +94,15 @@ class ReductionConfig:
 class ReductionResult:
     """A reduced CTD plus how it was obtained.
 
-    ``rel_error`` is measured in the configured norm relative to the input.
-    ``tolerance_met`` is False only when a max_rank cap forced a best-effort
-    answer.  ``fallback_to_als`` marks interpolative runs that detected an
-    indefinite Gram matrix and re-ran through ALS.
+    ``rel_error`` is the error relative to the input.  It is measured in the
+    configured norm, except where the interpolative path accepts a skeleton
+    on its Frobenius certificate without a measurement: then it is that
+    certificate, the square root of the unselected Cholesky mass, which is
+    the Frobenius residual of the least-squares refit and so also bounds
+    the s-norm error from above.  ``tolerance_met`` is False only when a
+    max_rank cap forced a best-effort answer.  ``fallback_to_als`` marks
+    interpolative runs that detected an indefinite Gram matrix and re-ran
+    through ALS.
     """
 
     ctd: CTD
@@ -139,18 +144,20 @@ class RankOneApprox:
                    validate=False)
 
 
-def norm_of_difference(U, V, norm="frobenius"):
+def norm_of_difference(U, V, norm="frobenius", goal=None):
     """||U - V|| without forming the difference, where possible.
 
     The Frobenius case expands <U-V, U-V> into inner products of the factored
     forms; the s-norm case runs the rank-one fit on the concatenated
-    difference CTD.
+    difference CTD.  With a ``goal``, the s-norm fit stops as soon as its
+    lower bound exceeds it (see :func:`rank_one_approx`), so a result above
+    ``goal`` may be an underestimate; one at or below it is not affected.
     """
     if norm == "frobenius":
         s = inner(U, U) - 2.0 * inner(U, V) + inner(V, V)
         return float(np.sqrt(max(s, 0.0)))
     if norm == "snorm":
-        return s_norm(add(U, scale(V, -1.0)))
+        return rank_one_approx(add(U, scale(V, -1.0)), goal=goal).svalue
     raise ValueError(f"norm must be one of {_NORMS}")
 
 
@@ -161,10 +168,17 @@ def _ctd_norm(U, norm):
 # ---------------------------------------------------------------------------
 # s-norm (best rank-one weight)
 
-def rank_one_approx(U, max_sweeps=500, rel_tol=1e-14):
+def rank_one_approx(U, max_sweeps=500, rel_tol=1e-14, goal=None):
     """Alternating fit of a single rank-one term, started from U's largest
     term.  Converged when the weight changes by less than ``rel_tol``
-    relatively between sweeps."""
+    relatively between sweeps.
+
+    Every weight after an update is <U, v_1 x ... x v_d> for unit v_j, a
+    lower bound on the s-norm.  So with a ``goal`` the fit returns as soon as
+    that weight exceeds ``goal``: a measurement of ``s_norm(U) <= goal`` has
+    failed by then, whatever further sweeps would find.  Below the goal it
+    sweeps on, because a weight still rising there may yet cross it.
+    """
     if U.rank == 0:
         return RankOneApprox(0.0, [np.zeros(M) for M in U.modes])
     start = int(np.argmax(U.svalues))
@@ -196,6 +210,8 @@ def rank_one_approx(U, max_sweeps=500, rel_tol=1e-14):
             v[j] = b / nb
             cross[j] = U.factors[j].T @ v[j]
             s = nb
+            if goal is not None and s > goal:
+                return RankOneApprox(s, v, sweeps)
         else:
             if abs(s - s_prev) < rel_tol * max(s, 1e-300):
                 break
@@ -212,12 +228,6 @@ def s_norm(U):
 
 # ---------------------------------------------------------------------------
 # ALS
-
-def _ridge_value(cfg, Z):
-    if cfg is not None and cfg.regularization is not None:
-        return cfg.regularization
-    return 1e-14 * float(np.trace(Z))
-
 
 def als_sweep(U, V, dim_index, ridge=None):
     """One least-squares update of V's factors along one dimension.
@@ -609,12 +619,18 @@ def interpolative_reduce(U, cfg):
     """Skeleton-based reduction via pivoted Cholesky on the term Gram matrix.
 
     Pivots are taken until the unselected diagonal mass falls to
-    (epsilon * ||U||)^2, then the skeleton weights are least-squares refit
-    and the actual error is measured in the configured norm; the skeleton
-    grows further if the measured error still exceeds the tolerance.  An
-    indefinite Gram matrix falls back to the ALS path with a warning flag.
-    Large s-norm inputs go through the lazy-column Cholesky, which never
-    forms the full Gram.
+    (epsilon * ||U||)^2, then the skeleton weights are least-squares refit.
+    A skeleton whose unselected mass certifies the tolerance with a tenfold
+    margin is accepted as it is; otherwise the actual error is measured in
+    the configured norm, and the skeleton grows further if it still exceeds
+    the tolerance.  An indefinite Gram matrix falls back to the ALS path with
+    a warning flag.  Large s-norm inputs go through the lazy-column
+    Cholesky, which never forms the full Gram.
+
+    Under a ``max_rank`` cap the best skeleton is chosen by measured error.
+    An s-norm measurement stops once it exceeds the goal, so there these
+    errors are lower bounds, and so is the ``rel_error`` reported with a
+    capped result.
     """
     if U.rank == 0:
         return ReductionResult(U, 0.0, 0, True, "id", cfg.norm)
@@ -647,20 +663,20 @@ def interpolative_reduce(U, cfg):
         if k >= U.rank:
             break
         V = build(k)
-        err = norm_of_difference(U, V, cfg.norm)
-        if err <= goal:
-            return ReductionResult(V, err / norm_target, 0, True, "id", cfg.norm)
-        # Measuring the difference of two nearly equal CTDs cancels: the
-        # computed norm cannot fall much below sqrt(machine eps) times the
-        # input norm, so for sharply dependent terms the measurement alone
-        # saturates above the goal no matter how good the skeleton is.  The
-        # unselected diagonal mass is the squared Frobenius residual of the
-        # least-squares fit, computed without that cancellation, and the
-        # Frobenius norm bounds the s-norm; with a tenfold margin for the
-        # refit solve it certifies the tolerance on its own.
+        # The unselected diagonal mass is the squared Frobenius residual of
+        # the least-squares fit, and the Frobenius norm bounds the s-norm;
+        # with a tenfold margin for the refit solve it certifies the
+        # tolerance on its own, at no cost, so it is checked first.  It is
+        # also the only check for sharply dependent terms: measuring the
+        # difference of two nearly equal CTDs cancels, so the computed norm
+        # cannot fall much below sqrt(machine eps) times the input norm, no
+        # matter how good the skeleton is.
         cert = np.sqrt(max(remaining[k - 1], 0.0))
         if cert <= 0.1 * goal:
             return ReductionResult(V, cert / norm_target, 0, True, "id", cfg.norm)
+        err = norm_of_difference(U, V, cfg.norm, goal=goal)
+        if err <= goal:
+            return ReductionResult(V, err / norm_target, 0, True, "id", cfg.norm)
         if best is None or err < best[0]:
             best = (err, V)
     if cfg.max_rank is not None and cfg.max_rank < U.rank:

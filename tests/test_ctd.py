@@ -20,6 +20,7 @@ from ctdopt import (
     save_ctd,
     scale,
     spike_ctd,
+    square,
     to_dense,
     to_json,
     zero_ctd,
@@ -47,6 +48,14 @@ class TestConstruction:
             CTD(np.array([-1.0]), [np.full((4, 1), 0.5), np.full((4, 1), 0.5)])
         with pytest.raises(ValueError):
             CTD(np.array([1.0]), [np.full((4, 2), 0.5)])
+
+    def test_validation_rejects_non_finite(self):
+        col = np.array([[1.0], [0.0]])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                CTD(np.array([bad]), [col, col])
+            with pytest.raises(ValueError, match="finite"):
+                CTD(np.array([1.0]), [col, np.array([[bad], [0.0]])])
 
     def test_immutable(self):
         U = ones_ctd((3, 3))
@@ -127,6 +136,26 @@ class TestAlgebra:
         with pytest.raises(ValueError, match="max_rank"):
             hadamard(U, U, max_rank=15)
 
+    def test_square_vs_dense(self, rng):
+        for r in range(7):
+            U = random_signed_ctd((4, 3, 4), r, rng)
+            W = square(U)
+            assert W.rank == r * (r + 1) // 2
+            expect = dense_oracle(U) ** 2
+            assert_allclose(to_dense(W), expect, rtol=1e-12, atol=1e-14)
+            assert_allclose(to_dense(hadamard(U, U)), to_dense(W), rtol=1e-12, atol=1e-14)
+
+    def test_square_term_order(self, rng):
+        # np.triu_indices order; the off-diagonal pair (a, b) carries both
+        # (a, b) and (b, a) of the Hadamard product, so twice its weight.
+        U = random_signed_ctd((3, 4), 3, rng)
+        W = square(U)
+        for k, (a, b) in enumerate(zip(*np.triu_indices(U.rank))):
+            got = W.svalues[k] * np.outer(W.factors[0][:, k], W.factors[1][:, k])
+            cols = [F[:, a] * F[:, b] for F in U.factors]
+            expect = (1 + (a != b)) * U.svalues[a] * U.svalues[b] * np.outer(*cols)
+            assert_allclose(got, expect, rtol=1e-12, atol=1e-15)
+
     def test_shape_mismatch(self, rng):
         U = random_signed_ctd((3, 3), 2, rng)
         V = random_signed_ctd((3, 4), 2, rng)
@@ -203,3 +232,16 @@ class TestSerialization:
             from_json(
                 '{"dims": 2, "modes": [3], "svalues": [], "factors": [[], []]}'
             )
+
+    def test_rejects_non_finite(self, tmp_path):
+        # Python's json reads NaN and Infinity; the CTD must not accept them.
+        good = '{"dims": 2, "modes": [2, 2], "svalues": [%s], "factors": [[%s, 0.0], [1.0, 0.0]]}'
+        assert from_json(good % ("1.0", "1.0")).rank == 1
+        for bad in ("NaN", "Infinity", "-Infinity"):
+            for text in (good % (bad, "1.0"), good % ("1.0", bad)):
+                with pytest.raises(ValueError, match="finite"):
+                    from_json(text)
+                path = tmp_path / "bad.json"
+                path.write_text(text)
+                with pytest.raises(ValueError, match="finite"):
+                    load_ctd(path)

@@ -32,6 +32,8 @@ from ctdopt import (
     squaring_max,
     zero_ctd,
 )
+from ctdopt import maxentry
+from ctdopt.experiments import background_instance, plant_spike
 from conftest import background_max_bound, background_plus_spike, dense_oracle, random_signed_ctd
 
 
@@ -230,6 +232,29 @@ class TestSquaringMethod:
     def test_zero_input_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             squaring_max(zero_ctd((3, 3)), exact_config(FixedIterations(1)))
+
+    def test_spike_instance_without_runaway_rank(self, monkeypatch):
+        # With one term per ordered pair, the exact duplicates in the square
+        # made this instance's term Gram look indefinite; the ALS fallback
+        # kept 312 terms, and the next square's Gram asked for 70 GiB.  The
+        # guard makes such a regression fail before that Gram is allocated.
+        reduce = maxentry.reduce
+
+        def guarded(Q, cfg):
+            assert Q.rank <= 2048, f"reduction input of rank {Q.rank}"
+            return reduce(Q, cfg)
+
+        monkeypatch.setattr(maxentry, "reduce", guarded)
+        rng = np.random.default_rng([25, 25])
+        U, loc = plant_spike(background_instance(6, 32, 3, rng), rng, spike_to=3.5)
+        search = MaxEntrySearchConfig(
+            reduction=ReductionConfig(epsilon=1e-6, norm="frobenius", algorithm="id"),
+            termination=RankThreshold(1),
+            k_max=10,
+        )
+        trace = squaring_max(U, search)
+        assert trace.final_rank == 1
+        assert trace.candidates[0].index == loc
 
 
 class TestTermination:
