@@ -297,11 +297,23 @@ def square(U):
     products appear once instead of twice.  Terms are in ``np.triu_indices``
     order (all pairs of U's first term before U's second), and the result is
     canonical.
+
+    Row a of that order, the pairs (a, a), ..., (a, r - 1), is the Hadamard
+    product of term a with terms a.. whose weights past the first are
+    doubled, so the square is built row by row with :func:`hadamard` and
+    its products stay in that layer.
     """
-    a, b = np.triu_indices(U.rank)
-    svalues = U.svalues[a] * U.svalues[b]
-    svalues[a != b] *= 2.0
-    return _normalized(svalues, [F[:, a] * F[:, b] for F in U.factors])
+    if U.rank == 0:
+        return zero_ctd(U.modes)
+    rows = []
+    for a in range(U.rank):
+        head = CTD(U.svalues[a:a + 1], [F[:, a:a + 1] for F in U.factors], validate=False)
+        weights = U.svalues[a:].copy()
+        weights[1:] *= 2.0
+        rows.append(hadamard(head, CTD(weights, [F[:, a:] for F in U.factors], validate=False)))
+    svalues = np.concatenate([R.svalues for R in rows])
+    factors = [np.hstack([R.factors[j] for R in rows]) for j in range(U.ndim)]
+    return CTD(svalues, factors, validate=False)
 
 
 def add(U, V):
