@@ -159,10 +159,11 @@ def _normalized(svalues, factors):
     or column norm underflows ``1e-300`` are dropped.
     """
     svalues = np.asarray(svalues, dtype=float).copy()
-    factors = [np.array(F, dtype=float) for F in factors]
     r = svalues.shape[0]
     if r == 0:
-        return CTD(svalues, factors, validate=False)
+        return CTD(svalues, [np.array(F, dtype=float) for F in factors], validate=False)
+    # Not copied: each factor is divided into a new array below.
+    factors = [np.asarray(F, dtype=float) for F in factors]
     keep = np.abs(svalues) > _DROP_THRESHOLD
     total = np.abs(svalues)
     unit = []
@@ -298,22 +299,45 @@ def square(U):
     order (all pairs of U's first term before U's second), and the result is
     canonical.
 
-    Row a of that order, the pairs (a, a), ..., (a, r - 1), is the Hadamard
-    product of term a with terms a.. whose weights past the first are
-    doubled, so the square is built row by row with :func:`hadamard` and
-    its products stay in that layer.
+    All pairs but the last, (r - 1, r - 1), are gathered in one pass and
+    normalized together; the last is ``hadamard`` of term r - 1 with
+    itself.  The result is bit for bit what building row a, the pairs
+    (a, a), ..., (a, r - 1), as ``hadamard(term a, terms a.. with the
+    weights past the first doubled)`` would give: NumPy sums the column
+    norms of a C-ordered array with two or more columns row by row, as it
+    does each of those rows, but those of a single column pairwise, as it
+    does the last row.  ``take`` keeps the gather C-ordered where fancy
+    indexing would not.
     """
-    if U.rank == 0:
+    r = U.rank
+    if r == 0:
         return zero_ctd(U.modes)
-    rows = []
-    for a in range(U.rank):
-        head = CTD(U.svalues[a:a + 1], [F[:, a:a + 1] for F in U.factors], validate=False)
-        weights = U.svalues[a:].copy()
-        weights[1:] *= 2.0
-        rows.append(hadamard(head, CTD(weights, [F[:, a:] for F in U.factors], validate=False)))
-    svalues = np.concatenate([R.svalues for R in rows])
-    factors = [np.hstack([R.factors[j] for R in rows]) for j in range(U.ndim)]
-    return CTD(svalues, factors, validate=False)
+    last = CTD(U.svalues[r - 1:], [F[:, r - 1:] for F in U.factors], validate=False)
+    tail = hadamard(last, last)
+    if r == 1:
+        return tail
+    ia, ib = np.triu_indices(r)
+    ia, ib = ia[:-1], ib[:-1]
+    s = U.svalues
+    weights = s[ia] * (s[ib] * np.where(ia == ib, 1.0, 2.0))
+    # One buffer serves every dimension's second operand, and the raw
+    # products are freed before the final copy: without both, the many
+    # short-lived wide arrays raise the peak resident memory of a long
+    # search above that of the row-wise build.
+    second = np.empty((max(U.modes), len(ia)))
+    factors = []
+    for F in U.factors:
+        P = F.take(ia, axis=1)
+        P *= F.take(ib, axis=1, out=second[:F.shape[0]])
+        factors.append(P)
+    del second
+    body = _normalized(weights, factors)
+    del factors
+    return CTD(
+        np.concatenate([body.svalues, tail.svalues]),
+        [np.hstack([B, T]) for B, T in zip(body.factors, tail.factors)],
+        validate=False,
+    )
 
 
 def add(U, V):

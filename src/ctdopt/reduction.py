@@ -154,15 +154,22 @@ def norm_of_difference(U, V, norm="frobenius", goal=None):
     ``goal`` may be an underestimate; one at or below it is not affected.
     """
     if norm == "frobenius":
-        s = inner(U, U) - 2.0 * inner(U, V) + inner(V, V)
-        return float(np.sqrt(max(s, 0.0)))
+        return _frobenius_difference(U, V, inner(U, U))
     if norm == "snorm":
         return rank_one_approx(add(U, scale(V, -1.0)), goal=goal).svalue
     raise ValueError(f"norm must be one of {_NORMS}")
 
 
-def _ctd_norm(U, norm):
-    return frobenius_norm(U) if norm == "frobenius" else s_norm(U)
+def _root(sq):
+    """Square root of a squared norm formed from inner products, clamped at
+    zero against cancellation, as :func:`~ctdopt.ctd.frobenius_norm` does."""
+    return float(np.sqrt(max(sq, 0.0)))
+
+
+def _frobenius_difference(U, V, uu):
+    """||U - V||_F from <U-V, U-V> expanded, given ``uu`` = <U, U>, so a
+    caller measuring many V against one U forms <U, U> once."""
+    return _root(uu - 2.0 * inner(U, V) + inner(V, V))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +205,7 @@ def rank_one_approx(U, max_sweeps=500, rel_tol=1e-14, goal=None):
                 if k != j:
                     p *= cross[k]
             b = U.factors[j] @ p
-            nb = float(np.linalg.norm(b))
+            nb = float(np.sqrt(b.dot(b)))  # np.linalg.norm(b), without its wrapper
             if nb < 1e-300:
                 if restarted:
                     return RankOneApprox(0.0, v, sweeps)
@@ -391,8 +398,8 @@ def _candidate_ranks(r_in, cap):
 
 
 def _als_reduce(U, cfg, fallback=False):
-    norm_target = _ctd_norm(U, cfg.norm)
     uu = inner(U, U)
+    norm_target = _root(uu) if cfg.norm == "frobenius" else s_norm(U)
     goal = cfg.epsilon * norm_target
     total_sweeps = 0
     best = None  # (rel_error_estimate, ctd) under a max_rank cap
@@ -482,14 +489,21 @@ def _gram_column(U, p):
     return col * (U.svalues * U.svalues[p])
 
 
-def _pivoted_cholesky(G):
-    """Full diagonal-pivoted Cholesky of a PSD matrix.
+def _pivoted_cholesky(G, bound=None):
+    """Diagonal-pivoted Cholesky of a PSD matrix.
 
     Returns (pivots, L, remaining, indefinite): ``remaining[k]`` is the sum of
     the updated diagonal over unselected indices after eliminating the k-th
     pivot, and ``L[:, :k]`` reproduces G on the pivot block exactly.  Ties in
     the pivot choice resolve to the lowest index.  ``indefinite`` flags an
     updated diagonal dipping below the negative roundoff band.
+
+    Without a ``bound`` it factors until the diagonal is exhausted.  With one
+    it stops after the first pivot k whose certificate
+    ``sqrt(max(remaining[k], 0))`` is at most ``bound``; the output is then
+    a bitwise prefix of the full factorization.  Past that point the
+    unselected mass is roundoff, which can dip below the negative band of a
+    PSD Gram and would flag it as indefinite.
     """
     r = G.shape[0]
     d = np.array(np.diag(G), dtype=float)
@@ -524,16 +538,19 @@ def _pivoted_cholesky(G):
             break
         remaining[k] = float(np.sum(d[active], initial=0.0))
         steps = k + 1
+        if bound is not None and np.sqrt(max(remaining[k], 0.0)) <= bound:
+            break
     return pivots[:steps], L[:, :steps], remaining[:steps], indefinite
 
 
-def _pivoted_cholesky_lazy(U):
+def _pivoted_cholesky_lazy(U, bound=None):
     """Pivoted Cholesky of the term Gram without materializing it.
 
-    Same pivot choice and update arithmetic as :func:`_pivoted_cholesky`,
-    but Gram columns are formed only when pivoted, so the cost scales with
-    the numerical rank rather than the full r^2 Gram.  Also returns the
-    fetched columns (as the r x steps matrix C) for the skeleton refit.
+    Same pivot choice, update arithmetic and ``bound`` as
+    :func:`_pivoted_cholesky`, but Gram columns are formed only when
+    pivoted, so the cost scales with the numerical rank rather than the full
+    r^2 Gram.  Also returns the fetched columns (as the r x steps matrix C)
+    for the skeleton refit.
     """
     r = U.rank
     d = _gram_diag(U)
@@ -576,6 +593,8 @@ def _pivoted_cholesky_lazy(U):
             break
         remaining[k] = float(np.sum(d[active], initial=0.0))
         steps = k + 1
+        if bound is not None and np.sqrt(max(remaining[k], 0.0)) <= bound:
+            break
     return pivots[:steps], L[:, :steps], C[:, :steps], remaining[:steps], indefinite
 
 
@@ -618,14 +637,16 @@ def _skeleton_ctd_from_cols(U, C, pivots, L, k):
 def interpolative_reduce(U, cfg):
     """Skeleton-based reduction via pivoted Cholesky on the term Gram matrix.
 
-    Pivots are taken until the unselected diagonal mass falls to
-    (epsilon * ||U||)^2, then the skeleton weights are least-squares refit.
-    A skeleton whose unselected mass certifies the tolerance with a tenfold
+    The search starts at the first skeleton whose unselected diagonal mass
+    is at most (epsilon * ||U||)^2 and least-squares refits its weights.  A
+    skeleton whose unselected mass certifies the tolerance with a tenfold
     margin is accepted as it is; otherwise the actual error is measured in
     the configured norm, and the skeleton grows further if it still exceeds
-    the tolerance.  An indefinite Gram matrix falls back to the ALS path with
-    a warning flag.  Large s-norm inputs go through the lazy-column
-    Cholesky, which never forms the full Gram.
+    the tolerance.  The Cholesky stops at that certificate, because no
+    skeleton past it is ever built.  An indefinite Gram matrix falls back to
+    the ALS path with a warning flag.  Large s-norm inputs go through the
+    lazy-column Cholesky, which never forms the full Gram.  In the Frobenius
+    norm, <U, U> is formed once and gives both ||U|| and every measurement.
 
     Under a ``max_rank`` cap the best skeleton is chosen by measured error.
     An s-norm measurement stops once it exceeds the goal, so there these
@@ -634,25 +655,32 @@ def interpolative_reduce(U, cfg):
     """
     if U.rank == 0:
         return ReductionResult(U, 0.0, 0, True, "id", cfg.norm)
-    norm_target = _ctd_norm(U, cfg.norm)
+    if cfg.norm == "frobenius":
+        uu = inner(U, U)
+        norm_target = _root(uu)
+    else:
+        norm_target = s_norm(U)
     if norm_target <= 1e-300:
         return ReductionResult(zero_ctd(U.modes), 0.0, 0, True, "id", cfg.norm)
+    goal = cfg.epsilon * norm_target
+    # The skeleton search below accepts at the first k whose certificate
+    # meets this, so no later pivot is read.
+    cert_goal = 0.1 * goal
     if cfg.norm == "snorm" and U.rank > _LAZY_GRAM_RANK:
-        pivots, L, C, remaining, indefinite = _pivoted_cholesky_lazy(U)
+        pivots, L, C, remaining, indefinite = _pivoted_cholesky_lazy(U, cert_goal)
 
         def build(k):
             return _skeleton_ctd_from_cols(U, C, pivots, L, k)
 
     else:
         G = _term_gram(U)
-        pivots, L, remaining, indefinite = _pivoted_cholesky(G)
+        pivots, L, remaining, indefinite = _pivoted_cholesky(G, cert_goal)
 
         def build(k):
             return _skeleton_ctd(U, G, pivots, L, k)
 
     if indefinite:
         return _als_reduce(U, cfg, fallback=True)
-    goal = cfg.epsilon * norm_target
     mass_goal = goal * goal
     k0 = 1
     while k0 < len(pivots) and remaining[k0 - 1] > mass_goal:
@@ -672,9 +700,12 @@ def interpolative_reduce(U, cfg):
         # cannot fall much below sqrt(machine eps) times the input norm, no
         # matter how good the skeleton is.
         cert = np.sqrt(max(remaining[k - 1], 0.0))
-        if cert <= 0.1 * goal:
+        if cert <= cert_goal:
             return ReductionResult(V, cert / norm_target, 0, True, "id", cfg.norm)
-        err = norm_of_difference(U, V, cfg.norm, goal=goal)
+        if cfg.norm == "frobenius":
+            err = _frobenius_difference(U, V, uu)
+        else:
+            err = norm_of_difference(U, V, "snorm", goal=goal)
         if err <= goal:
             return ReductionResult(V, err / norm_target, 0, True, "id", cfg.norm)
         if best is None or err < best[0]:

@@ -156,6 +156,29 @@ class TestAlgebra:
             expect = (1 + (a != b)) * U.svalues[a] * U.svalues[b] * np.outer(*cols)
             assert_allclose(got, expect, rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize("M", [1, 9])
+    def test_square_bitwise_matches_rows(self, rng, M):
+        # Reference: row a of the pair order built as its own Hadamard
+        # product, term a times terms a.. with the weights past the first
+        # doubled.  The one-pass square must reproduce it to the last bit.
+        for r in range(9):
+            U = random_signed_ctd((M, 4, M), r, rng)
+            rows = []
+            for a in range(r):
+                head = CTD(U.svalues[a:a + 1], [F[:, a:a + 1] for F in U.factors],
+                           validate=False)
+                weights = U.svalues[a:].copy()
+                weights[1:] *= 2.0
+                rows.append(hadamard(head, CTD(weights, [F[:, a:] for F in U.factors],
+                                               validate=False)))
+            W = square(U)
+            assert W.rank == sum(R.rank for R in rows)
+            if r == 0:
+                continue
+            assert np.array_equal(W.svalues, np.concatenate([R.svalues for R in rows]))
+            for j, F in enumerate(W.factors):
+                assert np.array_equal(F, np.hstack([R.factors[j] for R in rows]))
+
     def test_shape_mismatch(self, rng):
         U = random_signed_ctd((3, 3), 2, rng)
         V = random_signed_ctd((3, 4), 2, rng)

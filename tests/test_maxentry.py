@@ -189,8 +189,8 @@ class TestSquaringMethod:
 
     def test_lambda_starts_at_norm_and_decreases(self, rng):
         # every lambda_k has a closed dense form sum(U * U^(2^k)) / ||U^(2^k)||;
-        # rank-2 input keeps the unreduced rank at 256 by k=3, the practical
-        # limit since norm computations build rank-squared Gram matrices
+        # each square takes rank r to r(r+1)/2, so the rank-2 input reaches
+        # unreduced rank 21 by k=3
         U, _ = background_plus_spike(3, 4, 1, rng, spike_to=4.0)
         dense = dense_oracle(U)
         trace = squaring_max(U, exact_config(FixedIterations(3)))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from ctdopt import (
@@ -18,10 +19,12 @@ from ctdopt import (
     s_norm,
     scale,
     spike_ctd,
+    square,
     to_dense,
     zero_ctd,
 )
 from ctdopt import reduction as reduction_mod
+from ctdopt.experiments import background_instance, plant_spike
 from conftest import random_signed_ctd
 
 
@@ -213,6 +216,85 @@ class TestInterpolative:
         res = interpolative_reduce(U, ReductionConfig(epsilon=1e-6))
         assert res.fallback_to_als
         assert res.tolerance_met
+
+    def test_psd_gram_not_flagged_indefinite(self):
+        # The first square of this spike-search instance has rank 10 and a
+        # PSD term Gram of numerical rank 7.  Factored to exhaustion, the
+        # roundoff left after the seventh pivot dipped below the negative
+        # band and sent the reduction to ALS; the certificate accepts at 7.
+        rng = np.random.default_rng(22)
+        U, _ = plant_spike(background_instance(6, 32, 3, rng), rng, spike_to=3.5)
+        Q = square(scale(U, 1.0 / frobenius_norm(U)))
+        assert Q.rank == 10
+        res = interpolative_reduce(Q, ReductionConfig(epsilon=1e-6))
+        assert res.fallback_to_als is False
+        assert res.rank == 7
+        assert res.tolerance_met
+        V = res.ctd
+        qq = inner(Q, Q)
+        assert np.sqrt(max(qq - 2.0 * inner(Q, V) + inner(V, V), 0.0) / qq) <= 1e-6
+
+
+def _small_ctd(seed, rank, modes):
+    return random_signed_ctd(modes, rank, np.random.default_rng(seed))
+
+
+_small_ctds = st.builds(
+    _small_ctd,
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+    st.lists(st.integers(2, 5), min_size=2, max_size=4),
+)
+
+
+class TestStoppedCholesky:
+    """``bound`` stops the pivoted Cholesky at the first certificate
+    sqrt(max(remaining[k], 0)) <= bound, as a prefix of the full run."""
+
+    @staticmethod
+    def _bound(remaining, pick, factor):
+        cert = np.sqrt(np.maximum(remaining, 0.0))
+        return float(cert[pick % len(cert)] * factor), cert
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    # factor 1.0 puts the bound exactly on a certificate, which must stop
+    @given(_small_ctds, st.integers(0, 7), st.just(1.0) | st.floats(0.5, 2.0))
+    def test_prefix_of_full_factorization(self, U, pick, factor):
+        G = reduction_mod._term_gram(U)
+        full = reduction_mod._pivoted_cholesky(G)
+        piv, L, rem, indef = full
+        assert indef or rem[-1] <= 0.0  # no bound: runs to exhaustion
+        for got, want in zip(reduction_mod._pivoted_cholesky(G, None), full):
+            assert np.array_equal(got, want)
+        bound, cert = self._bound(rem, pick, factor)
+        met = np.flatnonzero(cert <= bound)
+        steps = met[0] + 1 if met.size else len(piv)
+        s_piv, s_L, s_rem, s_indef = reduction_mod._pivoted_cholesky(G, bound)
+        assert len(s_piv) == steps
+        assert np.array_equal(s_piv, piv[:steps])
+        assert np.array_equal(s_L, L[:, :steps])
+        assert np.array_equal(s_rem, rem[:steps])
+        assert s_indef == (indef and not met.size)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_small_ctds, st.integers(0, 7))
+    def test_lazy_picks_the_same_pivots(self, U, pick):
+        G = reduction_mod._term_gram(U)
+        _, _, rem, _ = reduction_mod._pivoted_cholesky(G)
+        # a bound well above roundoff and off every certificate, so the last
+        # bits in which the two Gram sources differ cannot move the stop
+        bound, _ = self._bound(rem, pick, 1.001)
+        bound = max(bound, 1e-6 * np.sqrt(np.trace(G)))
+        piv, _, _, indef = reduction_mod._pivoted_cholesky(G, bound)
+        l_piv, l_L, l_C, l_rem, l_indef = reduction_mod._pivoted_cholesky_lazy(U, bound)
+        assert np.array_equal(l_piv, piv)
+        assert l_indef == indef
+        f_piv, f_L, f_C, f_rem, _ = reduction_mod._pivoted_cholesky_lazy(U)
+        k = len(l_piv)
+        assert np.array_equal(l_piv, f_piv[:k])
+        assert np.array_equal(l_L, f_L[:, :k])
+        assert np.array_equal(l_C, f_C[:, :k])
+        assert np.array_equal(l_rem, f_rem[:k])
 
 
 class TestReductionResult:
