@@ -287,41 +287,35 @@ def _flag_plateau(trace, Y_new, Y_old, k):
         trace.flags.append("degenerate plateau")
 
 
-def power_method_max(U, cfg):
-    """Entrywise power iteration toward the max-|entry| location.
+def _unit(Y, message):
+    """Y scaled to unit Frobenius norm; a collapsed norm raises ``message``."""
+    n = frobenius_norm(Y)
+    if n <= 1e-300:
+        raise DegenerateIterateError(message)
+    return scale(Y, 1.0 / n)
 
-    Starts from the uniform rank-one tensor with entries prod_j 1/M_j, then
-    repeats: multiply by U entrywise, record lambda = <Y, U*Y>, normalize,
-    reduce, renormalize.  Linear convergence; candidates are read off the
-    final iterate and evaluated on U.
+
+def _search(method, U, cfg, Y, lam0, step):
+    """The iteration both searches share, from the unit start ``Y`` whose
+    lambda is ``lam0``.
+
+    ``step(Y, k)`` returns the unreduced next iterate and, for the power
+    method, its lambda; where it returns None, lambda is <Y_k, U> of the
+    reduced, normalized iterate.  Every iterate is reduced, normalized and
+    recorded, until the termination rule fires or ``k_max`` is used up.
     """
-    if U.rank == 0:
-        raise ValueError("input tensor is identically zero")
-    ones = ones_ctd(U.modes)
-    Y = scale(ones, 1.0 / frobenius_norm(ones))
-    trace = MaxEntryTrace(method="power")
+    trace = MaxEntryTrace(method=method)
     t0 = time.perf_counter()
-    trace.records.append(
-        IterationRecord(0, Y.rank, np.nan, _term_maxima(Y), time.perf_counter() - t0)
-    )
-    lam_prev = None
+    trace.records.append(IterationRecord(0, Y.rank, lam0, _term_maxima(Y),
+                                         time.perf_counter() - t0))
+    lam_prev = lam0
     for k in range(1, cfg.k_max + 1):
         t0 = time.perf_counter()
-        Q = hadamard(U, Y)
-        lam = inner(Y, Q)
-        nq = frobenius_norm(Q)
-        if nq <= 1e-300:
-            raise DegenerateIterateError(
-                f"iterate norm collapsed to zero at iteration {k}"
-            )
-        Z = scale(Q, 1.0 / nq)
-        Y_new, tol_met = _apply_reduction(Z, cfg.reduction)
-        ny = frobenius_norm(Y_new)
-        if ny <= 1e-300:
-            raise DegenerateIterateError(
-                f"iterate vanished after reduction at iteration {k}"
-            )
-        Y_new = scale(Y_new, 1.0 / ny)
+        Q, lam = step(Y, k)
+        Y_new, tol_met = _apply_reduction(Q, cfg.reduction)
+        Y_new = _unit(Y_new, f"iterate norm collapsed to zero at iteration {k}")
+        if lam is None:
+            lam = inner(Y_new, U)
         _flag_plateau(trace, Y_new, Y, k)
         Y = Y_new
         trace.records.append(
@@ -335,6 +329,27 @@ def power_method_max(U, cfg):
     trace.final_iterate = Y
     trace.candidates = extract_candidates(Y, U, cfg.max_candidates_per_term)
     return trace
+
+
+def power_method_max(U, cfg):
+    """Entrywise power iteration toward the max-|entry| location.
+
+    Starts from the uniform rank-one tensor with entries prod_j 1/M_j, then
+    repeats: multiply by U entrywise, record lambda = <Y, U*Y>, normalize,
+    reduce, renormalize.  Linear convergence; candidates are read off the
+    final iterate and evaluated on U.
+    """
+    if U.rank == 0:
+        raise ValueError("input tensor is identically zero")
+
+    def step(Y, k):
+        Q = hadamard(U, Y)
+        lam = inner(Y, Q)
+        return _unit(Q, f"product U*Y collapsed to zero at iteration {k}"), lam
+
+    ones = ones_ctd(U.modes)
+    Y = scale(ones, 1.0 / frobenius_norm(ones))
+    return _search("power", U, cfg, Y, np.nan, step)
 
 
 def squaring_max(U, cfg):
@@ -351,38 +366,5 @@ def squaring_max(U, cfg):
     """
     if U.rank == 0:
         raise ValueError("input tensor is identically zero")
-    nu = frobenius_norm(U)
-    if nu <= 1e-300:
-        raise DegenerateIterateError("input tensor has zero Frobenius norm")
-    Y = scale(U, 1.0 / nu)
-    trace = MaxEntryTrace(method="squaring")
-    t0 = time.perf_counter()
-    trace.records.append(
-        IterationRecord(0, Y.rank, inner(Y, U), _term_maxima(Y),
-                        time.perf_counter() - t0)
-    )
-    lam_prev = trace.records[0].lam
-    for k in range(1, cfg.k_max + 1):
-        t0 = time.perf_counter()
-        Q = square(Y)
-        Y_new, tol_met = _apply_reduction(Q, cfg.reduction)
-        ny = frobenius_norm(Y_new)
-        if ny <= 1e-300:
-            raise DegenerateIterateError(
-                f"iterate norm collapsed to zero at iteration {k}"
-            )
-        Y_new = scale(Y_new, 1.0 / ny)
-        lam = inner(Y_new, U)
-        _flag_plateau(trace, Y_new, Y, k)
-        Y = Y_new
-        trace.records.append(
-            IterationRecord(
-                k, Y.rank, lam, _term_maxima(Y), time.perf_counter() - t0, tol_met
-            )
-        )
-        if _terminate(cfg.termination, k, Y.rank, lam, lam_prev):
-            break
-        lam_prev = lam
-    trace.final_iterate = Y
-    trace.candidates = extract_candidates(Y, U, cfg.max_candidates_per_term)
-    return trace
+    Y = _unit(U, "input tensor has zero Frobenius norm")
+    return _search("squaring", U, cfg, Y, inner(Y, U), lambda Y, k: (square(Y), None))
