@@ -302,7 +302,8 @@ def _search(method, U, cfg, Y, lam0, step):
     ``step(Y, k)`` returns the unreduced next iterate and, for the power
     method, its lambda; where it returns None, lambda is <Y_k, U> of the
     reduced, normalized iterate.  Every iterate is reduced, normalized and
-    recorded, until the termination rule fires or ``k_max`` is used up.
+    recorded, until the termination rule fires or ``k_max`` is used up; the
+    latter is flagged as ``"k_max reached"``.
     """
     trace = MaxEntryTrace(method=method)
     t0 = time.perf_counter()
@@ -326,6 +327,8 @@ def _search(method, U, cfg, Y, lam0, step):
         if _terminate(cfg.termination, k, Y.rank, lam, lam_prev):
             break
         lam_prev = lam
+    else:
+        trace.flags.append("k_max reached")
     trace.final_iterate = Y
     trace.candidates = extract_candidates(Y, U, cfg.max_candidates_per_term)
     return trace

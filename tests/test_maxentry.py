@@ -284,6 +284,25 @@ class TestTermination:
         trace = squaring_max(U, id_config(1e-6, RankThreshold(1), k_max=5))
         assert trace.iterations == 5
 
+    def test_used_up_k_max_is_flagged(self, rng):
+        # lambda never stalls by a relative 1e-300, so the loop runs out
+        U = random_signed_ctd((3, 4, 2), 2, rng)
+        for search in (squaring_max, power_method_max):
+            trace = search(U, exact_config(LambdaStall(1e-300), k_max=3))
+            assert trace.iterations == 3
+            assert trace.flags == ["k_max reached"], search.__name__
+
+    def test_fixed_iterations_at_k_max_not_flagged(self, rng):
+        U = random_signed_ctd((3, 4, 2), 2, rng)
+        for search in (squaring_max, power_method_max):
+            trace = search(U, exact_config(FixedIterations(3), k_max=3))
+            assert trace.iterations == 3
+            assert trace.flags == [], search.__name__
+            # a fixed count beyond k_max is cut short, and says so
+            trace = search(U, exact_config(FixedIterations(4), k_max=3))
+            assert trace.iterations == 3
+            assert trace.flags == ["k_max reached"], search.__name__
+
     def test_rule_validation(self):
         with pytest.raises(ValueError):
             FixedIterations(0)
