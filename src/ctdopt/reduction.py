@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .ctd import CTD, _normalized, add, frobenius_norm, inner, renormalize, scale, zero_ctd
+from .ctd import CTD, _normalized, add, inner, renormalize, scale, zero_ctd
 
 __all__ = [
     "ReductionConfig",
@@ -242,7 +242,8 @@ def als_sweep(U, V, dim_index, ridge=None):
     Solves (Z + ridge I) B^T = W for the dimension's raw columns B, where Z
     is the elementwise product over the other dimensions of V's factor Gram
     matrices and W holds the cross inner products with U's terms, then folds
-    column norms back into the s-values.
+    column norms back into the s-values.  This is the step
+    :func:`reduce` takes with ALS, on a fresh state.
 
     Returns the updated CTD; U and V are unchanged.
     """
@@ -253,25 +254,9 @@ def als_sweep(U, V, dim_index, ridge=None):
         raise IndexError(f"dimension {j} out of range")
     if V.rank == 0:
         return V
-    rv = V.rank
-    Z = np.ones((rv, rv))
-    P = np.ones((U.rank, rv))
-    for k in range(U.ndim):
-        if k == j:
-            continue
-        Z *= V.factors[k].T @ V.factors[k]
-        P *= U.factors[k].T @ V.factors[k]
-    lam = ridge if ridge is not None else 1e-14 * float(np.trace(Z))
-    W = (U.factors[j] @ (U.svalues[:, None] * P)).T  # (rv, M_j)
-    try:
-        Bt = np.linalg.solve(Z + lam * np.eye(rv), W)
-    except np.linalg.LinAlgError as err:
-        raise np.linalg.LinAlgError(
-            f"normal equations singular in dimension {j} (ridge {lam:.3e})"
-        ) from err
-    factors = [np.array(F) for F in V.factors]
-    factors[j] = Bt.T
-    return _normalized(np.ones(rv), factors)
+    state = _AlsState(U, V.svalues, V.factors)
+    state.sweep_dim(j, ridge)
+    return state.to_ctd()
 
 
 class _AlsState:
@@ -399,6 +384,9 @@ def _candidate_ranks(r_in, cap):
 
 def _als_reduce(U, cfg, fallback=False):
     uu = inner(U, U)
+    if _root(uu) <= 1e-300:
+        return ReductionResult(zero_ctd(U.modes), 0.0, 0, True, "als", cfg.norm,
+                               fallback_to_als=fallback)
     norm_target = _root(uu) if cfg.norm == "frobenius" else s_norm(U)
     goal = cfg.epsilon * norm_target
     total_sweeps = 0
@@ -734,10 +722,7 @@ def reduce(U, cfg):
         )
     if U.rank == 0:
         return ReductionResult(U, 0.0, 0, True, cfg.algorithm, cfg.norm)
+    # Both paths catch a zero input inside, from the norm they form anyway.
     if cfg.algorithm == "id":
-        # zero inputs are caught inside by the norm target, without paying
-        # for a Frobenius Gram of a possibly huge input
         return interpolative_reduce(U, cfg)
-    if frobenius_norm(U) <= 1e-300:
-        return ReductionResult(zero_ctd(U.modes), 0.0, 0, True, cfg.algorithm, cfg.norm)
     return _als_reduce(U, cfg)
