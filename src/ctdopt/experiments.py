@@ -112,18 +112,18 @@ def _dump_json(doc, path):
         fh.write("\n")
 
 
-def _write_manifest(cfg, resolved):
-    doc = {
-        "version": __version__,
-        "config": {
-            "experiment": cfg.experiment,
-            "seed": cfg.seed,
-            "trials": cfg.trials,
-            "out_dir": cfg.out_dir,
-            **resolved,
-        },
+def _write_manifest(out_dir, config):
+    doc = {"version": __version__, "config": config}
+    _dump_json(doc, os.path.join(out_dir, "manifest.json"))
+
+
+def _experiment_echo(cfg):
+    return {
+        "experiment": cfg.experiment,
+        "seed": cfg.seed,
+        "trials": cfg.trials,
+        "out_dir": cfg.out_dir,
     }
-    _dump_json(doc, os.path.join(cfg.out_dir, "manifest.json"))
 
 
 def _search_echo(search):
@@ -207,8 +207,9 @@ def run_demo_convergence(cfg):
     }
     _dump_json(summary, os.path.join(cfg.out_dir, "convergence_summary.json"))
     _write_manifest(
-        cfg,
+        cfg.out_dir,
         {
+            **_experiment_echo(cfg),
             "dims": d,
             "modes": M,
             "background_rank": bg_rank,
@@ -276,8 +277,9 @@ def run_demo_two_maxima(cfg):
     }
     _dump_json(summary, os.path.join(cfg.out_dir, "two_maxima_summary.json"))
     _write_manifest(
-        cfg,
+        cfg.out_dir,
         {
+            **_experiment_echo(cfg),
             "dims": d,
             "modes": M,
             "background_rank": bg_rank,
@@ -380,8 +382,9 @@ def run_compare(cfg):
     _dump_json(times_summary, os.path.join(cfg.out_dir, "compare_times_summary.json"))
 
     _write_manifest(
-        cfg,
+        cfg.out_dir,
         {
+            **_experiment_echo(cfg),
             "dims": d,
             "modes": M,
             "background_rank": bg_rank,
@@ -475,8 +478,9 @@ def run_ackley(cfg):
     with open(os.path.join(cfg.out_dir, "ackley_trajectory.csv"), "w") as fh:
         fh.write(report.trace.to_csv())
     _write_manifest(
-        cfg,
+        cfg.out_dir,
         {
+            **_experiment_echo(cfg),
             "dims": d,
             "expansion_eps": _ACKLEY_EXPANSION_EPS,
             "expansion_delta": _ACKLEY_EXPANSION_DELTA,
@@ -496,9 +500,9 @@ def reduce_file(input_path, reduction, out_dir):
     meta = {"input": os.path.basename(input_path), "input_rank": U.rank}
     meta.update(result.metadata())
     _dump_json(meta, os.path.join(out_dir, "reduction_metadata.json"))
-    doc = {
-        "version": __version__,
-        "config": {
+    _write_manifest(
+        out_dir,
+        {
             "operation": "reduce",
             "input": os.path.basename(input_path),
             "epsilon": reduction.epsilon,
@@ -507,8 +511,7 @@ def reduce_file(input_path, reduction, out_dir):
             "max_rank": reduction.max_rank,
             "out_dir": out_dir,
         },
-    }
-    _dump_json(doc, os.path.join(out_dir, "manifest.json"))
+    )
     return meta
 
 
@@ -537,15 +540,14 @@ def max_entry_file(input_path, search, out_dir, method="squaring"):
         "flags": list(trace.flags),
     }
     _dump_json(doc, os.path.join(out_dir, "max_entry.json"))
-    manifest = {
-        "version": __version__,
-        "config": {
+    _write_manifest(
+        out_dir,
+        {
             "operation": "max-entry",
             "input": os.path.basename(input_path),
             "method": method,
             "out_dir": out_dir,
             **_search_echo(search),
         },
-    }
-    _dump_json(manifest, os.path.join(out_dir, "manifest.json"))
+    )
     return doc
