@@ -2,6 +2,7 @@
 artifact output, error reporting, and run-to-run determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -23,6 +24,8 @@ from ctdopt import (
     to_dense,
 )
 from ctdopt.cli import main
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def spiked_instance(rng, modes=(6, 6, 6), loc=(2, 0, 5), target=3.5):
@@ -290,10 +293,15 @@ class TestModuleEntryPoint:
         src = tmp_path / "u.json"
         save_ctd(random_ctd([4, 4, 4], 2, rng=rng), str(src))
         out = tmp_path / "red"
+        # the child imports the package from this checkout's src directory,
+        # whether or not the test run itself was given a PYTHONPATH
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "ctdopt", "reduce", str(src),
              "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         printed = json.loads(proc.stdout)
