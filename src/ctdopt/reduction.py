@@ -8,7 +8,10 @@ Two algorithms sit behind one entry point, :func:`reduce`:
 * an interpolative variant (``"id"``): pick a skeleton of existing terms by
   pivoted Cholesky on the term Gram matrix and least-squares refit the
   weights.  This keeps original factor columns untouched and is the cheaper
-  route when the input terms are nearly dependent.
+  route when the input terms are nearly dependent.  The Gram matrix is never
+  formed: the factorization reads its diagonal and fetches the column of
+  each pivot, so its cost grows with the skeleton size, not with the square
+  of the input rank.
 
 The reduction target can be measured in the Frobenius norm or in the s-norm
 (the weight of the best rank-one separated approximation).  The s-norm never
@@ -447,22 +450,8 @@ def _als_reduce(U, cfg, fallback=False):
 # ---------------------------------------------------------------------------
 # Interpolative reduction
 
-def _term_gram(U):
-    """Gram matrix of the full terms (s-values included)."""
-    G = np.ones((U.rank, U.rank))
-    for F in U.factors:
-        G *= F.T @ F
-    return G * np.outer(U.svalues, U.svalues)
-
-
-# Above this input rank the s-norm interpolative path stops materializing
-# the full r x r Gram (its construction alone dominates the reduction) and
-# fetches only the diagonal plus the pivoted columns.
-_LAZY_GRAM_RANK = 1024
-
-
 def _gram_diag(U):
-    """Diagonal of the term Gram matrix."""
+    """Diagonal of the term Gram matrix <s_a u_a, s_b u_b>."""
     d = np.ones(U.rank)
     for F in U.factors:
         d *= np.einsum("ij,ij->j", F, F)
@@ -477,14 +466,21 @@ def _gram_column(U, p):
     return col * (U.svalues * U.svalues[p])
 
 
-def _pivoted_cholesky(G, bound=None):
-    """Diagonal-pivoted Cholesky of a PSD matrix.
+def _pivoted_cholesky_lazy(U, bound=None):
+    """Diagonal-pivoted Cholesky of U's term Gram matrix, which it never
+    forms: it starts from the diagonal and fetches a Gram column only when
+    that column is pivoted, so the cost scales with the skeleton size times
+    r rather than with r^2.  It is the only Cholesky here; the name is
+    kept from when an eager twin factored the full Gram, because the
+    benchmark's tracer counts its calls under it.
 
-    Returns (pivots, L, remaining, indefinite): ``remaining[k]`` is the sum of
-    the updated diagonal over unselected indices after eliminating the k-th
-    pivot, and ``L[:, :k]`` reproduces G on the pivot block exactly.  Ties in
-    the pivot choice resolve to the lowest index.  ``indefinite`` flags an
-    updated diagonal dipping below the negative roundoff band.
+    Returns (pivots, L, C, remaining, indefinite): ``C[:, k]`` is the fetched
+    Gram column of the k-th pivot, for the skeleton refit; ``remaining[k]``
+    is the sum of the updated diagonal over unselected indices after
+    eliminating that pivot, and ``L[:, :k]`` reproduces the Gram on the
+    pivot block exactly.  Ties in the pivot choice resolve to the lowest
+    index.  ``indefinite`` flags an updated diagonal dipping below the
+    negative roundoff band.
 
     Without a ``bound`` it factors until the diagonal is exhausted.  With one
     it stops after the first pivot k whose certificate
@@ -492,53 +488,6 @@ def _pivoted_cholesky(G, bound=None):
     a bitwise prefix of the full factorization.  Past that point the
     unselected mass is roundoff, which can dip below the negative band of a
     PSD Gram and would flag it as indefinite.
-    """
-    r = G.shape[0]
-    d = np.array(np.diag(G), dtype=float)
-    tol_neg = -1e-10 * max(float(d.max(initial=0.0)), 1e-300)
-    L = np.zeros((r, r))
-    pivots = np.zeros(r, dtype=int)
-    remaining = np.zeros(r)
-    active = np.ones(r, dtype=bool)
-    indefinite = False
-    steps = 0
-    for k in range(r):
-        dm = np.where(active, d, -np.inf)
-        p = int(np.argmax(dm))
-        if d[p] < tol_neg:
-            indefinite = True
-            break
-        if d[p] <= 0.0:
-            # exhausted: what is left is numerically zero mass
-            remaining[k:] = 0.0
-            steps = k
-            break
-        pivots[k] = p
-        lk = (G[:, p] - L[:, :k] @ L[p, :k]) / np.sqrt(d[p])
-        lk[~active] = 0.0
-        lk[p] = np.sqrt(d[p])
-        L[:, k] = lk
-        active[p] = False
-        d -= lk * lk
-        d[p] = 0.0
-        if np.min(d[active], initial=0.0) < tol_neg:
-            indefinite = True
-            break
-        remaining[k] = float(np.sum(d[active], initial=0.0))
-        steps = k + 1
-        if bound is not None and np.sqrt(max(remaining[k], 0.0)) <= bound:
-            break
-    return pivots[:steps], L[:, :steps], remaining[:steps], indefinite
-
-
-def _pivoted_cholesky_lazy(U, bound=None):
-    """Pivoted Cholesky of the term Gram without materializing it.
-
-    Same pivot choice, update arithmetic and ``bound`` as
-    :func:`_pivoted_cholesky`, but Gram columns are formed only when
-    pivoted, so the cost scales with the numerical rank rather than the full
-    r^2 Gram.  Also returns the fetched columns (as the r x steps matrix C)
-    for the skeleton refit.
     """
     r = U.rank
     d = _gram_diag(U)
@@ -558,6 +507,7 @@ def _pivoted_cholesky_lazy(U, bound=None):
             indefinite = True
             break
         if d[p] <= 0.0:
+            # exhausted: what is left is numerically zero mass
             remaining[k:] = 0.0
             steps = k
             break
@@ -586,32 +536,18 @@ def _pivoted_cholesky_lazy(U, bound=None):
     return pivots[:steps], L[:, :steps], C[:, :steps], remaining[:steps], indefinite
 
 
-def _skeleton_ctd(U, G, pivots, L, k):
-    """Least-squares refit of U onto the terms ``pivots[:k]``.
+def _skeleton_ctd_from_cols(U, C, pivots, L, k):
+    """Least-squares refit of U onto the terms ``pivots[:k]``, from the
+    fetched Gram columns ``C``.
 
-    Solved through the Cholesky factor restricted to the skeleton block,
-    which is exact there; falls back to lstsq on a degenerate block.
+    The normal equations G_SS c = G_S 1 are solved through the Cholesky
+    factor restricted to the skeleton block, which is exact there; a
+    degenerate block falls back to lstsq.  Both sides are read from the
+    columns (the symmetric images of the skeleton's Gram rows).
     """
     S = pivots[:k]
-    G_rows = G[S, :]
-    b = G_rows.sum(axis=1)
-    T = L[S, :k]  # lower triangular in pivot order
-    diag = np.abs(np.diag(T))
-    if diag.min(initial=0.0) > 1e-300:
-        y = solve_triangular(T, b, lower=True)
-        c = solve_triangular(T.T, y, lower=False)
-    else:
-        c, *_ = np.linalg.lstsq(G_rows[:, S], b, rcond=None)
-    factors = [np.array(F[:, S]) for F in U.factors]
-    return _normalized(c * U.svalues[S], factors)
-
-
-def _skeleton_ctd_from_cols(U, C, pivots, L, k):
-    """Least-squares refit reading the fetched Gram columns instead of rows
-    (their symmetric images); otherwise :func:`_skeleton_ctd`."""
-    S = pivots[:k]
     b = C[:, :k].sum(axis=0)
-    T = L[S, :k]
+    T = L[S, :k]  # lower triangular in pivot order
     diag = np.abs(np.diag(T))
     if diag.min(initial=0.0) > 1e-300:
         y = solve_triangular(T, b, lower=True)
@@ -631,10 +567,11 @@ def interpolative_reduce(U, cfg):
     margin is accepted as it is; otherwise the actual error is measured in
     the configured norm, and the skeleton grows further if it still exceeds
     the tolerance.  The Cholesky stops at that certificate, because no
-    skeleton past it is ever built.  An indefinite Gram matrix falls back to
-    the ALS path with a warning flag.  Large s-norm inputs go through the
-    lazy-column Cholesky, which never forms the full Gram.  In the Frobenius
-    norm, <U, U> is formed once and gives both ||U|| and every measurement.
+    skeleton past it is ever built, and it fetches only the Gram columns it
+    pivots on, so the r x r term Gram is never formed, at any rank or in
+    either norm.  An indefinite Gram matrix falls back to the ALS path with
+    a warning flag.  In the Frobenius norm, <U, U> is formed once and gives
+    both ||U|| and every measurement.
 
     Under a ``max_rank`` cap the best skeleton is chosen by measured error.
     An s-norm measurement stops once it exceeds the goal, so there these
@@ -654,19 +591,7 @@ def interpolative_reduce(U, cfg):
     # The skeleton search below accepts at the first k whose certificate
     # meets this, so no later pivot is read.
     cert_goal = 0.1 * goal
-    if cfg.norm == "snorm" and U.rank > _LAZY_GRAM_RANK:
-        pivots, L, C, remaining, indefinite = _pivoted_cholesky_lazy(U, cert_goal)
-
-        def build(k):
-            return _skeleton_ctd_from_cols(U, C, pivots, L, k)
-
-    else:
-        G = _term_gram(U)
-        pivots, L, remaining, indefinite = _pivoted_cholesky(G, cert_goal)
-
-        def build(k):
-            return _skeleton_ctd(U, G, pivots, L, k)
-
+    pivots, L, C, remaining, indefinite = _pivoted_cholesky_lazy(U, cert_goal)
     if indefinite:
         return _als_reduce(U, cfg, fallback=True)
     mass_goal = goal * goal
@@ -678,7 +603,7 @@ def interpolative_reduce(U, cfg):
     for k in range(min(k0, cap), cap + 1):
         if k >= U.rank:
             break
-        V = build(k)
+        V = _skeleton_ctd_from_cols(U, C, pivots, L, k)
         # The unselected diagonal mass is the squared Frobenius residual of
         # the least-squares fit, and the Frobenius norm bounds the s-norm;
         # with a tenfold margin for the refit solve it certifies the

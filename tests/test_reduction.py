@@ -193,8 +193,7 @@ class TestInterpolative:
         A = spike_ctd((4, 4), (0, 0), 2.0)
         B = spike_ctd((4, 4), (3, 3), 2.0)
         U = add(A, B)
-        G = reduction_mod._term_gram(U)
-        pivots, _, _, indefinite = reduction_mod._pivoted_cholesky(G)
+        pivots, _, _, _, indefinite = reduction_mod._pivoted_cholesky_lazy(U)
         assert not indefinite
         assert pivots[0] == 0
 
@@ -210,9 +209,9 @@ class TestInterpolative:
 
     def test_indefinite_gram_falls_back(self, rng, monkeypatch):
         U = random_signed_ctd((4, 4), 3, rng)
-        bad = np.array(reduction_mod._term_gram(U))
-        bad[0, 0] = -1.0  # force an indefinite diagonal
-        monkeypatch.setattr(reduction_mod, "_term_gram", lambda _: bad)
+        bad = np.array(reduction_mod._gram_diag(U))
+        bad[0] = -1.0  # force an indefinite diagonal
+        monkeypatch.setattr(reduction_mod, "_gram_diag", lambda _: bad)
         res = interpolative_reduce(U, ReductionConfig(epsilon=1e-6))
         assert res.fallback_to_als
         assert res.tolerance_met
@@ -247,6 +246,41 @@ _small_ctds = st.builds(
 )
 
 
+def dense_term_gram(U):
+    """The term Gram matrix <s_a u_a, s_b u_b>, from the materialized terms."""
+    terms = []
+    for l in range(U.rank):
+        t = np.array(U.svalues[l])
+        for F in U.factors:
+            t = np.multiply.outer(t, F[:, l])
+        terms.append(t.ravel())
+    T = np.array(terms)
+    return T @ T.T
+
+
+def dense_pivoted_cholesky(G, bound):
+    """Reference diagonal-pivoted Cholesky of a dense PSD matrix: pivots,
+    L and the unselected diagonal mass after each pivot, stopped at the
+    first sqrt(mass) <= bound; ties go to the lowest index."""
+    r = G.shape[0]
+    d = np.diag(G).astype(float)
+    L = np.zeros((r, 0))
+    pivots, remaining = [], []
+    active = np.ones(r, dtype=bool)
+    while active.any():
+        p = int(np.argmax(np.where(active, d, -np.inf)))
+        lk = (G[:, p] - L @ L[p]) / np.sqrt(d[p])
+        lk[~active] = 0.0
+        L = np.column_stack([L, lk])
+        active[p] = False
+        d = d - lk * lk
+        pivots.append(p)
+        remaining.append(d[active].sum())
+        if np.sqrt(max(remaining[-1], 0.0)) <= bound:
+            break
+    return np.array(pivots), L, np.array(remaining)
+
+
 class TestStoppedCholesky:
     """``bound`` stops the pivoted Cholesky at the first certificate
     sqrt(max(remaining[k], 0)) <= bound, as a prefix of the full run."""
@@ -260,41 +294,44 @@ class TestStoppedCholesky:
     # factor 1.0 puts the bound exactly on a certificate, which must stop
     @given(_small_ctds, st.integers(0, 7), st.just(1.0) | st.floats(0.5, 2.0))
     def test_prefix_of_full_factorization(self, U, pick, factor):
-        G = reduction_mod._term_gram(U)
-        full = reduction_mod._pivoted_cholesky(G)
-        piv, L, rem, indef = full
+        full = reduction_mod._pivoted_cholesky_lazy(U)
+        piv, L, C, rem, indef = full
         assert indef or rem[-1] <= 0.0  # no bound: runs to exhaustion
-        for got, want in zip(reduction_mod._pivoted_cholesky(G, None), full):
+        for got, want in zip(reduction_mod._pivoted_cholesky_lazy(U, None), full):
             assert np.array_equal(got, want)
         bound, cert = self._bound(rem, pick, factor)
         met = np.flatnonzero(cert <= bound)
         steps = met[0] + 1 if met.size else len(piv)
-        s_piv, s_L, s_rem, s_indef = reduction_mod._pivoted_cholesky(G, bound)
+        s_piv, s_L, s_C, s_rem, s_indef = reduction_mod._pivoted_cholesky_lazy(U, bound)
         assert len(s_piv) == steps
         assert np.array_equal(s_piv, piv[:steps])
         assert np.array_equal(s_L, L[:, :steps])
+        assert np.array_equal(s_C, C[:, :steps])
         assert np.array_equal(s_rem, rem[:steps])
         assert s_indef == (indef and not met.size)
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(_small_ctds, st.integers(0, 7))
     def test_lazy_picks_the_same_pivots(self, U, pick):
-        G = reduction_mod._term_gram(U)
-        _, _, rem, _ = reduction_mod._pivoted_cholesky(G)
+        # The column-fetch factorization agrees with a dense pivoted
+        # Cholesky of the dense term Gram: same pivots, and columns, factor
+        # and remaining mass equal up to roundoff.
+        G = dense_term_gram(U)
+        scale_ = np.trace(G)
+        _, _, rem = dense_pivoted_cholesky(G, 0.0)
         # a bound well above roundoff and off every certificate, so the last
         # bits in which the two Gram sources differ cannot move the stop
         bound, _ = self._bound(rem, pick, 1.001)
-        bound = max(bound, 1e-6 * np.sqrt(np.trace(G)))
-        piv, _, _, indef = reduction_mod._pivoted_cholesky(G, bound)
+        bound = max(bound, 1e-6 * np.sqrt(scale_))
+        piv, L, rem = dense_pivoted_cholesky(G, bound)
         l_piv, l_L, l_C, l_rem, l_indef = reduction_mod._pivoted_cholesky_lazy(U, bound)
+        assert not l_indef
         assert np.array_equal(l_piv, piv)
-        assert l_indef == indef
-        f_piv, f_L, f_C, f_rem, _ = reduction_mod._pivoted_cholesky_lazy(U)
-        k = len(l_piv)
-        assert np.array_equal(l_piv, f_piv[:k])
-        assert np.array_equal(l_L, f_L[:, :k])
-        assert np.array_equal(l_C, f_C[:, :k])
-        assert np.array_equal(l_rem, f_rem[:k])
+        assert_allclose(l_C, G[:, piv], rtol=0, atol=1e-12 * scale_)
+        assert_allclose(l_L, L, rtol=0, atol=1e-10 * np.sqrt(scale_))
+        assert_allclose(l_rem, rem, rtol=0, atol=1e-12 * scale_)
+        S = l_piv
+        assert_allclose(l_L[S] @ l_L[S].T, G[np.ix_(S, S)], rtol=0, atol=1e-12 * scale_)
 
 
 class TestReductionResult:
