@@ -470,9 +470,9 @@ def _pivoted_cholesky_lazy(U, bound=None):
     """Diagonal-pivoted Cholesky of U's term Gram matrix, which it never
     forms: it starts from the diagonal and fetches a Gram column only when
     that column is pivoted, so the cost scales with the skeleton size times
-    r rather than with r^2.  It is the only Cholesky here; the name is
-    kept from when an eager twin factored the full Gram, because the
-    benchmark's tracer counts its calls under it.
+    r rather than with r^2.  It is the only Cholesky here and keeps its
+    ``_lazy`` name because ``perfbench/tracer.py`` counts its calls under
+    that name.
 
     Returns (pivots, L, C, remaining, indefinite): ``C[:, k]`` is the fetched
     Gram column of the k-th pivot, for the skeleton refit; ``remaining[k]``
