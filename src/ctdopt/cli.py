@@ -19,16 +19,14 @@ is nonzero (2 for usage errors, 1 otherwise).
 import argparse
 import json
 import sys
+from functools import partial
 
 from .experiments import (
+    EXPERIMENTS,
     ExperimentConfig,
     max_entry_file,
     parse_termination,
     reduce_file,
-    run_ackley,
-    run_compare,
-    run_demo_convergence,
-    run_demo_two_maxima,
 )
 from .maxentry import MaxEntrySearchConfig, RankThreshold
 from .reduction import ReductionConfig
@@ -46,7 +44,6 @@ class _Parser(argparse.ArgumentParser):
         raise CommandLineError(message)
 
 
-_EXPERIMENT_COMMANDS = ("demo-convergence", "demo-two-maxima", "compare", "ackley")
 _CONFIG_KEYS = ("seed", "trials", "epsilon", "norm", "algorithm", "termination", "out", "method")
 
 
@@ -70,7 +67,7 @@ def _build_parser():
 
     parser = _Parser(prog="ctdopt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-    for name in _EXPERIMENT_COMMANDS:
+    for name in EXPERIMENTS:
         sub.add_parser(name, parents=[common])
     for name in ("reduce", "max-entry"):
         p = sub.add_parser(name, parents=[common])
@@ -99,14 +96,12 @@ def _apply_config_file(args):
 def _termination(args, default):
     if args.termination is None:
         return default
-    try:
-        return parse_termination(args.termination)
-    except ValueError as exc:
-        raise CommandLineError(str(exc)) from exc
+    return parse_termination(args.termination)
 
 
-def _dispatch(args):
-    if args.command in _EXPERIMENT_COMMANDS:
+def _configure(args):
+    """The run the arguments ask for, as a call without arguments."""
+    if args.command in EXPERIMENTS:
         cfg = ExperimentConfig(
             experiment=args.command,
             out_dir=args.out,
@@ -117,25 +112,29 @@ def _dispatch(args):
             algorithm=args.algorithm,
             termination=_termination(args, None),
         )
-        runner = {
-            "demo-convergence": run_demo_convergence,
-            "demo-two-maxima": run_demo_two_maxima,
-            "compare": run_compare,
-            "ackley": run_ackley,
-        }[args.command]
-        return runner(cfg)
+        return partial(EXPERIMENTS[args.command], cfg)
     reduction = ReductionConfig(
         epsilon=args.epsilon if args.epsilon is not None else 1e-6,
         norm=args.norm if args.norm is not None else "frobenius",
         algorithm=args.algorithm if args.algorithm is not None else "id",
     )
     if args.command == "reduce":
-        return reduce_file(args.input, reduction, args.out)
+        return partial(reduce_file, args.input, reduction, args.out)
     search = MaxEntrySearchConfig(
         reduction=reduction,
         termination=_termination(args, RankThreshold(1)),
     )
-    return max_entry_file(args.input, search, args.out, method=args.method)
+    return partial(max_entry_file, args.input, search, args.out, method=args.method)
+
+
+def _dispatch(args):
+    # A bad value met while building the configuration is a usage error;
+    # errors of the run itself are not.
+    try:
+        run = _configure(args)
+    except (TypeError, ValueError) as exc:
+        raise CommandLineError(str(exc)) from exc
+    return run()
 
 
 def main(argv=None):

@@ -123,15 +123,6 @@ class CTD:
     def rank(self):
         return self.svalues.shape[0]
 
-    def entry(self, index):
-        return eval_entry(self, index)
-
-    def norm(self):
-        return frobenius_norm(self)
-
-    def to_dense(self):
-        return to_dense(self)
-
     def __repr__(self):
         return f"CTD(ndim={self.ndim}, modes={self.modes}, rank={self.rank})"
 

@@ -30,6 +30,7 @@ from .reduction import ReductionConfig, reduce
 from .sepfunc import (
     AckleyParams,
     Grid,
+    _certification_probes,
     ackley_eval,
     ackley_separated,
     build_cosine_grid,
@@ -39,8 +40,6 @@ from .sepfunc import (
     merge_grids,
     optimize_function,
 )
-
-_EXPERIMENTS = ("demo-convergence", "demo-two-maxima", "compare", "ackley")
 
 
 def parse_termination(text):
@@ -79,31 +78,42 @@ class ExperimentConfig:
     """Which experiment to run, with what knobs, and where to put artifacts.
 
     Fields left at None fall back to the experiment's own defaults, which
-    reproduce the reference configuration for that experiment.
+    reproduce the reference configuration for that experiment.  Shapes and
+    iteration caps are fixed per experiment.
     """
 
     experiment: str
     out_dir: str = "."
     seed: int = 0
     trials: int = 100
-    dims: int | None = None
-    modes: int | None = None
-    background_rank: int | None = None
     epsilon: float | None = None
     norm: str | None = None
     algorithm: str | None = None
     termination: object | None = None
-    k_max: int | None = None
 
     def __post_init__(self):
-        if self.experiment not in _EXPERIMENTS:
-            raise ValueError(f"experiment must be one of {_EXPERIMENTS}")
+        if self.experiment not in EXPERIMENTS:
+            raise ValueError(f"experiment must be one of {tuple(EXPERIMENTS)}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        # Build a reduction now, so a bad epsilon, norm or algorithm is an
+        # error in the configuration rather than in the run.  Any valid
+        # default norm serves for the check.
+        _reduction(self, "frobenius")
 
 
 def _pick(value, default):
     return default if value is None else value
+
+
+def _reduction(cfg, norm):
+    """The reduction an experiment runs: ``cfg``'s overrides on an
+    interpolative reduction at 1e-6 in ``norm``."""
+    return ReductionConfig(
+        epsilon=_pick(cfg.epsilon, 1e-6),
+        norm=_pick(cfg.norm, norm),
+        algorithm=_pick(cfg.algorithm, "id"),
+    )
 
 
 def _dump_json(doc, path):
@@ -126,17 +136,19 @@ def _experiment_echo(cfg):
     }
 
 
+def _reduction_echo(red):
+    return {
+        "epsilon": red.epsilon,
+        "norm": red.norm,
+        "algorithm": red.algorithm,
+        "max_rank": red.max_rank,
+    }
+
+
 def _search_echo(search):
     red = search.reduction
     return {
-        "reduction": None
-        if red is None
-        else {
-            "epsilon": red.epsilon,
-            "norm": red.norm,
-            "algorithm": red.algorithm,
-            "max_rank": red.max_rank,
-        },
+        "reduction": None if red is None else _reduction_echo(red),
         "termination": termination_to_string(search.termination),
         "k_max": search.k_max,
     }
@@ -168,27 +180,20 @@ def plant_spike(U, rng, spike_to=None, spike_add=None, avoid=()):
 def run_demo_convergence(cfg):
     """Single squaring run on a spiked random background, trace to CSV.
 
-    Defaults: six dimensions, 32 points per dimension, rank-3 background,
-    one spike raising the maximum entry to 3.5, interpolative Frobenius
-    reduction at 1e-6, stop at rank 1.
+    Six dimensions, 32 points per dimension, rank-3 background, one spike
+    raising the maximum entry to 3.5, at most 30 iterations.  Defaults:
+    interpolative Frobenius reduction at 1e-6, stop at rank 1.
     """
-    d = _pick(cfg.dims, 6)
-    M = _pick(cfg.modes, 32)
-    bg_rank = _pick(cfg.background_rank, 3)
-    epsilon = _pick(cfg.epsilon, 1e-6)
-    norm = _pick(cfg.norm, "frobenius")
-    algorithm = _pick(cfg.algorithm, "id")
-    termination = _pick(cfg.termination, RankThreshold(1))
-    k_max = _pick(cfg.k_max, 30)
+    d, M, bg_rank = 6, 32, 3
 
     rng = np.random.default_rng(cfg.seed)
     background = background_instance(d, M, bg_rank, rng)
     U, loc = plant_spike(background, rng, spike_to=3.5)
 
     search = MaxEntrySearchConfig(
-        reduction=ReductionConfig(epsilon=epsilon, norm=norm, algorithm=algorithm),
-        termination=termination,
-        k_max=k_max,
+        reduction=_reduction(cfg, "frobenius"),
+        termination=_pick(cfg.termination, RankThreshold(1)),
+        k_max=30,
     )
     trace = squaring_max(U, search)
     found = trace.candidates[0]
@@ -225,24 +230,21 @@ def run_demo_two_maxima(cfg):
 
     The k=6 run reports both planted locations; the extended run shows the
     iterate eventually collapsing to a single term once floating-point noise
-    breaks the tie.
+    breaks the tie.  Six dimensions, 32 points per dimension, rank-3
+    background, both spikes at 3.5; the extended run stops at rank 1 or
+    after 60 iterations.  Default reduction: interpolative Frobenius at 1e-6.
     """
-    d = _pick(cfg.dims, 6)
-    M = _pick(cfg.modes, 32)
-    bg_rank = _pick(cfg.background_rank, 3)
-    epsilon = _pick(cfg.epsilon, 1e-6)
-    norm = _pick(cfg.norm, "frobenius")
-    algorithm = _pick(cfg.algorithm, "id")
-    extended_k_max = _pick(cfg.k_max, 60)
+    d, M, bg_rank = 6, 32, 3
+    extended_k_max = 60
 
     rng = np.random.default_rng(cfg.seed)
     background = background_instance(d, M, bg_rank, rng)
     partial, loc_a = plant_spike(background, rng, spike_to=3.5)
     U, loc_b = plant_spike(partial, rng, spike_to=3.5, avoid=(loc_a,))
 
-    reduction = ReductionConfig(epsilon=epsilon, norm=norm, algorithm=algorithm)
+    reduction = _reduction(cfg, "frobenius")
     search_k6 = MaxEntrySearchConfig(
-        reduction=reduction, termination=FixedIterations(6), k_max=max(6, extended_k_max)
+        reduction=reduction, termination=FixedIterations(6), k_max=extended_k_max
     )
     trace_k6 = squaring_max(U, search_k6)
     found_k6 = [c.index for c in trace_k6.candidates]
@@ -287,12 +289,7 @@ def run_demo_two_maxima(cfg):
             "spikes": 2,
             "fixed_iterations": 6,
             "extended_k_max": extended_k_max,
-            "reduction": {
-                "epsilon": epsilon,
-                "norm": norm,
-                "algorithm": algorithm,
-                "max_rank": None,
-            },
+            "reduction": _reduction_echo(reduction),
         },
     )
     return summary
@@ -301,25 +298,18 @@ def run_demo_two_maxima(cfg):
 def run_compare(cfg):
     """Squaring vs power method over seeded trials on spiked backgrounds.
 
-    Defaults: eight dimensions, 32 points, rank-4 background plus a
-    magnitude-4 spike, interpolative reduction at 1e-6 in the s-norm, stop
-    at rank 1.  Iteration counts and correctness go to one CSV; wall times
-    go to a separate CSV so the deterministic artifacts stay bit-identical
-    under a fixed seed.
+    Eight dimensions, 32 points, rank-4 background plus a magnitude-4
+    spike, at most 100 iterations.  Defaults: interpolative reduction at
+    1e-6 in the s-norm, stop at rank 1.  Iteration counts and correctness
+    go to one CSV; wall times go to a separate CSV so the deterministic
+    artifacts stay bit-identical under a fixed seed.
     """
-    d = _pick(cfg.dims, 8)
-    M = _pick(cfg.modes, 32)
-    bg_rank = _pick(cfg.background_rank, 4)
-    epsilon = _pick(cfg.epsilon, 1e-6)
-    norm = _pick(cfg.norm, "snorm")
-    algorithm = _pick(cfg.algorithm, "id")
-    termination = _pick(cfg.termination, RankThreshold(1))
-    k_max = _pick(cfg.k_max, 100)
+    d, M, bg_rank = 8, 32, 4
 
     search = MaxEntrySearchConfig(
-        reduction=ReductionConfig(epsilon=epsilon, norm=norm, algorithm=algorithm),
-        termination=termination,
-        k_max=k_max,
+        reduction=_reduction(cfg, "snorm"),
+        termination=_pick(cfg.termination, RankThreshold(1)),
+        k_max=100,
     )
     methods = (("squaring", squaring_max), ("power", power_method_max))
 
@@ -405,15 +395,12 @@ def run_ackley(cfg):
     Builds the Gaussian expansion of the radial part, the per-dimension
     grid (Gaussian-matched points inside, cosine oversampling outside),
     samples to a CTD, locates the maximum entry by Hadamard squaring, and
-    polishes with a compass search on the exact function.  Deterministic:
-    no randomness anywhere in the pipeline.
+    polishes with a compass search on the exact function.  Ten dimensions,
+    at most 100 squaring steps.  Defaults: interpolative reduction at 1e-6
+    in the s-norm, stop at rank 1.  Deterministic: no randomness anywhere
+    in the pipeline.
     """
-    d = _pick(cfg.dims, 10)
-    epsilon = _pick(cfg.epsilon, 1e-6)
-    norm = _pick(cfg.norm, "snorm")
-    algorithm = _pick(cfg.algorithm, "id")
-    termination = _pick(cfg.termination, RankThreshold(1))
-    k_max = _pick(cfg.k_max, 100)
+    d = 10
 
     p = AckleyParams(d=d)
     g = build_gaussian_expansion(
@@ -425,19 +412,20 @@ def run_ackley(cfg):
     merged = merge_grids(radial, cosine)
     grid = Grid.uniform_product(merged, d, (-1.0, 1.0))
 
+    reduction = _reduction(cfg, "snorm")
     search = MaxEntrySearchConfig(
-        reduction=ReductionConfig(epsilon=epsilon, norm=norm, algorithm=algorithm),
-        termination=termination,
-        k_max=k_max,
+        reduction=reduction,
+        termination=_pick(cfg.termination, RankThreshold(1)),
+        k_max=100,
     )
     report = optimize_function(f, grid, search, exact=lambda x: ackley_eval(p, x))
 
     true_max = p.a + math.e
     nonzero = merged[merged != 0.0]
     innermost = float(np.min(np.abs(nonzero)))
-    certified = certify_expansion(g, np.geomspace(g.delta, g.x_max, 100_000))
+    certified = certify_expansion(g, _certification_probes(g.delta, g.x_max))
     if innermost < g.delta:
-        strip = certify_expansion(g, np.geomspace(innermost, g.delta, 10_000))
+        strip = certify_expansion(g, _certification_probes(innermost, g.delta, 10_000))
     else:
         strip = 0.0
     x_inner = np.zeros(d)
@@ -469,7 +457,7 @@ def run_ackley(cfg):
         "checks": {
             "grid_resolves_below_delta": bool(innermost < g.delta),
             "sup_error_below_delta": strip,
-            "uncertified_region_within_reduction_tolerance": bool(strip <= epsilon),
+            "uncertified_region_within_reduction_tolerance": bool(strip <= reduction.epsilon),
             "separated_defect_at_innermost_point": float(inner_defect),
         },
     }
@@ -491,6 +479,15 @@ def run_ackley(cfg):
     return doc
 
 
+# Every experiment, by name, in the order the command line lists them.
+EXPERIMENTS = {
+    "demo-convergence": run_demo_convergence,
+    "demo-two-maxima": run_demo_two_maxima,
+    "compare": run_compare,
+    "ackley": run_ackley,
+}
+
+
 def reduce_file(input_path, reduction, out_dir):
     """Reduce a serialized CTD file; write the result plus metadata JSON."""
     U = load_ctd(input_path)
@@ -505,10 +502,7 @@ def reduce_file(input_path, reduction, out_dir):
         {
             "operation": "reduce",
             "input": os.path.basename(input_path),
-            "epsilon": reduction.epsilon,
-            "norm": reduction.norm,
-            "algorithm": reduction.algorithm,
-            "max_rank": reduction.max_rank,
+            **_reduction_echo(reduction),
             "out_dir": out_dir,
         },
     )

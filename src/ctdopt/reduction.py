@@ -42,6 +42,7 @@ __all__ = [
 
 _NORMS = ("frobenius", "snorm")
 _ALGORITHMS = ("als", "id")
+_ALS_MAX_SWEEPS = 200  # sweep budget per candidate rank
 
 
 @dataclass(frozen=True)
@@ -58,23 +59,17 @@ class ReductionConfig:
     max_rank : int, optional
         Hard cap on the output rank.  If no rank within the cap meets the
         tolerance the best capped result is returned flagged as not met.
-    als_max_sweeps : int
-        Sweep budget per candidate rank in the ALS path.
-    als_stall_tol : float, optional
-        Stop sweeping when the residual improves by less than this fraction
-        of ||U||_F per sweep.  Defaults to 1e-3 * epsilon.
-    regularization : float, optional
-        Ridge added to the ALS normal equations, as an absolute value.
-        Defaults to 1e-14 * trace of the Gram matrix being solved.
+
+    The ALS path runs at most 200 sweeps per candidate rank, stops sweeping
+    once the Frobenius residual improves by less than 1e-3 * epsilon *
+    ||U||_F in a sweep, and adds a ridge of 1e-14 times the trace of the
+    Gram matrix to each normal-equations solve.
     """
 
     epsilon: float
     norm: str = "frobenius"
     algorithm: str = "id"
     max_rank: int | None = None
-    als_max_sweeps: int = 200
-    als_stall_tol: float | None = None
-    regularization: float | None = None
 
     def __post_init__(self):
         if not self.epsilon > 0.0:
@@ -85,12 +80,6 @@ class ReductionConfig:
             raise ValueError(f"algorithm must be one of {_ALGORITHMS}")
         if self.max_rank is not None and self.max_rank < 1:
             raise ValueError("max_rank must be at least 1")
-        if self.als_max_sweeps < 1:
-            raise ValueError("als_max_sweeps must be at least 1")
-
-    @property
-    def stall_tol(self):
-        return self.als_stall_tol if self.als_stall_tol is not None else 1e-3 * self.epsilon
 
 
 @dataclass
@@ -178,10 +167,10 @@ def _frobenius_difference(U, V, uu):
 # ---------------------------------------------------------------------------
 # s-norm (best rank-one weight)
 
-def rank_one_approx(U, max_sweeps=500, rel_tol=1e-14, goal=None):
+def rank_one_approx(U, max_sweeps=500, goal=None):
     """Alternating fit of a single rank-one term, started from U's largest
-    term.  Converged when the weight changes by less than ``rel_tol``
-    relatively between sweeps.
+    term.  Converged when the weight changes by less than 1e-14 relatively
+    between sweeps, or after ``max_sweeps`` sweeps.
 
     Every weight after an update is <U, v_1 x ... x v_d> for unit v_j, a
     lower bound on the s-norm.  So with a ``goal`` the fit returns as soon as
@@ -223,7 +212,7 @@ def rank_one_approx(U, max_sweeps=500, rel_tol=1e-14, goal=None):
             if goal is not None and s > goal:
                 return RankOneApprox(s, v, sweeps)
         else:
-            if abs(s - s_prev) < rel_tol * max(s, 1e-300):
+            if abs(s - s_prev) < 1e-14 * max(s, 1e-300):
                 break
     return RankOneApprox(s, v, sweeps)
 
@@ -239,14 +228,15 @@ def s_norm(U):
 # ---------------------------------------------------------------------------
 # ALS
 
-def als_sweep(U, V, dim_index, ridge=None):
+def als_sweep(U, V, dim_index):
     """One least-squares update of V's factors along one dimension.
 
     Solves (Z + ridge I) B^T = W for the dimension's raw columns B, where Z
     is the elementwise product over the other dimensions of V's factor Gram
-    matrices and W holds the cross inner products with U's terms, then folds
-    column norms back into the s-values.  This is the step
-    :func:`reduce` takes with ALS, on a fresh state.
+    matrices, the ridge is 1e-14 * trace(Z), and W holds the cross inner
+    products with U's terms, then folds column norms back into the
+    s-values.  This is the step :func:`reduce` takes with ALS, on a fresh
+    state.
 
     Returns the updated CTD; U and V are unchanged.
     """
@@ -258,7 +248,7 @@ def als_sweep(U, V, dim_index, ridge=None):
     if V.rank == 0:
         return V
     state = _AlsState(U, V.svalues, V.factors)
-    state.sweep_dim(j, ridge)
+    state.sweep_dim(j)
     return state.to_ctd()
 
 
@@ -297,7 +287,7 @@ class _AlsState:
     def residual(self, uu):
         return float(np.sqrt(max(uu - 2.0 * self.inner_uv() + self.inner_vv(), 0.0)))
 
-    def sweep_dim(self, j, reg):
+    def sweep_dim(self, j):
         rv = self.rank
         Z = np.ones((rv, rv))
         P = np.ones((self.U.rank, rv))
@@ -306,7 +296,7 @@ class _AlsState:
                 continue
             Z *= self.gram[k]
             P *= self.cross[k]
-        lam = reg if reg is not None else 1e-14 * float(np.trace(Z))
+        lam = 1e-14 * float(np.trace(Z))
         W = (self.U.factors[j] @ (self.U.svalues[:, None] * P)).T
         try:
             B = np.linalg.solve(Z + lam * np.eye(rv), W).T  # (M_j, rv)
@@ -357,13 +347,13 @@ def _als_fit(U, rank, cfg, uu, norm_target):
     order = _distinct_term_order(U)[:rank]
     state = _AlsState(U, U.svalues[order], [F[:, order] for F in U.factors])
     goal = cfg.epsilon * norm_target
-    stall = cfg.stall_tol * max(np.sqrt(uu), 1e-300)
+    stall = 1e-3 * cfg.epsilon * max(np.sqrt(uu), 1e-300)
     res_prev = state.residual(uu)
     sweeps = 0
-    for _ in range(cfg.als_max_sweeps):
+    for _ in range(_ALS_MAX_SWEEPS):
         sweeps += 1
         for j in range(U.ndim):
-            state.sweep_dim(j, cfg.regularization)
+            state.sweep_dim(j)
             if state.rank == 0:
                 return state, float(np.sqrt(uu)), sweeps
         res = state.residual(uu)

@@ -19,7 +19,6 @@ Functions with mixed-sign values should be shifted positive before sampling:
 the entry search targets largest magnitude, not largest value.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -343,14 +342,14 @@ def build_cosine_grid(c, box=(-1.0, 1.0), samples_per_oscillation=16):
     return spacing * np.arange(k_lo, k_hi + 1)
 
 
-def merge_grids(radial, cosine, dedup_tol=1e-12):
+def merge_grids(radial, cosine):
     """Radial points inside the crossover radius, cosine points outside.
 
     The crossover is the last radius at which the radial grid's local spacing
     is still no coarser than the cosine spacing; beyond it the radial batches
     grow geometrically sparse and the uniform cosine grid takes over.  The
-    merged coordinates are deduplicated within ``dedup_tol`` and clipped to
-    the cosine grid's span (the box).
+    merged coordinates are deduplicated within 1e-12 and clipped to the
+    cosine grid's span (the box).
     """
     radial = np.asarray(radial, dtype=float)
     cosine = np.asarray(cosine, dtype=float)
@@ -376,7 +375,7 @@ def merge_grids(radial, cosine, dedup_tol=1e-12):
     if merged.size == 0:
         return merged
     keep = np.ones(merged.size, dtype=bool)
-    keep[1:] = np.diff(merged) > dedup_tol
+    keep[1:] = np.diff(merged) > 1e-12
     return merged[keep]
 
 
@@ -524,30 +523,25 @@ class OptimizationReport:
             "search_flags": list(self.trace.flags),
         }
 
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2)
-
 
 def _coarsest_spacing(grid):
     return max(float(np.max(np.diff(c))) if c.size > 1 else 0.0 for c in grid.coords)
 
 
-def optimize_function(f, grid, search, exact=None, initial_reduction=None,
-                      step0=None, step_tol=1e-8):
+def optimize_function(f, grid, search, exact=None):
     """Locate the maximum of a separated function via its sampled CTD.
 
-    Pipeline: sample onto the grid, reduce the sampled CTD (with
-    ``initial_reduction``, defaulting to the search's own reduction config),
-    run the squaring search, re-evaluate its candidate locations on the
-    unreduced sampled CTD, map the best index to coordinates, and polish with
-    compass search on ``exact`` (the true objective; defaults to f itself).
-    ``step0`` defaults to the coarsest grid spacing so the continuous maximum
-    near the winning grid point stays within the search's first reach.
+    Pipeline: sample onto the grid, reduce the sampled CTD with the search's
+    own reduction config (if any), run the squaring search, re-evaluate its
+    candidate locations on the unreduced sampled CTD, map the best index to
+    coordinates, and polish with compass search on ``exact`` (the true
+    objective; defaults to f itself) down to a step of 1e-8.  The compass
+    search starts from the coarsest grid spacing, so the continuous maximum
+    near the winning grid point stays within its first reach.
     """
     U0 = sample_to_ctd(f, grid)
-    red_cfg = initial_reduction if initial_reduction is not None else search.reduction
-    if red_cfg is not None:
-        res = reduce(U0, red_cfg)
+    if search.reduction is not None:
+        res = reduce(U0, search.reduction)
         U, tol_met = res.ctd, res.tolerance_met
     else:
         U, tol_met = U0, True
@@ -559,10 +553,8 @@ def optimize_function(f, grid, search, exact=None, initial_reduction=None,
     point = index_to_point(grid, best_idx)
 
     objective = exact if exact is not None else f.value
-    if step0 is None:
-        step0 = _coarsest_spacing(grid)
     refined_point, refined_value = compass_search(
-        objective, point, step0, tol=step_tol
+        objective, point, _coarsest_spacing(grid), tol=1e-8
     )
     return OptimizationReport(
         sampled_rank=U0.rank,

@@ -255,6 +255,34 @@ class TestErrorHandling:
         assert json.loads(capsys.readouterr().err)["error"] == "usage"
 
 
+class TestInvalidValues:
+    def test_bad_values_are_usage_errors(self, tmp_path, capsys):
+        """A value the configuration rejects, from a flag or a config file,
+        exits 2 with a usage error before anything runs."""
+        src = tmp_path / "u.json"
+        save_ctd(random_ctd([4, 4], 2, rng=np.random.default_rng(6)), str(src))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"epsilon": -1}))
+        typed = tmp_path / "typed.json"
+        typed.write_text(json.dumps({"trials": "many"}))
+        cases = [
+            (["demo-convergence", "--epsilon", "0"], "epsilon"),
+            (["compare", "--trials", "0"], "trials"),
+            (["demo-convergence", "--config", str(config)], "epsilon"),
+            (["compare", "--config", str(typed)], "not supported"),
+            (["reduce", str(src), "--epsilon", "0"], "epsilon"),
+            (["max-entry", str(src), "--config", str(config)], "epsilon"),
+        ]
+        for argv, word in cases:
+            out = tmp_path / "out"
+            rc = main(argv + ["--out", str(out)])
+            assert rc == 2, argv
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "usage", argv
+            assert word in err["message"], argv
+            assert not out.exists(), argv
+
+
 class TestDeterminism:
     def test_demo_convergence_byte_identical(self, tmp_path, capsys):
         dirs = [tmp_path / "a", tmp_path / "b"]
