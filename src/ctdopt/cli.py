@@ -78,18 +78,44 @@ def _build_parser():
     return parser
 
 
-def _apply_config_file(args):
+def _config_value(action, key, value):
+    """Check a config-file value against its flag's type and choices.
+
+    JSON values arrive typed, so a value must already be of the type the
+    flag converts to (an integer also counts as a float); ``null`` is
+    accepted where the flag's own default is None.
+    """
+    if value is None and action.default is None:
+        return
+    want = action.type or str
+    kinds = (int, float) if want is float else (want,)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise CommandLineError(
+            f"config key {key!r}: {type(value).__name__} value {value!r} "
+            f"not supported, expected {want.__name__}"
+        )
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise CommandLineError(
+            f"config key {key!r}: invalid choice {value!r} (choose from {choices})"
+        )
+
+
+def _apply_config_file(parser, args):
     if args.config is None:
         return
     with open(args.config) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise CommandLineError("config file must contain a JSON object")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[args.command]._actions}
     for key, value in doc.items():
         if key not in _CONFIG_KEYS:
             raise CommandLineError(f"unknown config key {key!r}")
         if key == "method" and args.command != "max-entry":
             raise CommandLineError("config key 'method' only applies to max-entry")
+        _config_value(actions[key], key, value)
         setattr(args, key, value)
 
 
@@ -141,7 +167,7 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config_file(args)
+        _apply_config_file(parser, args)
         summary = _dispatch(args)
     except CommandLineError as exc:
         print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)

@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .ctd import CTD, _normalized, add, inner, renormalize, scale, zero_ctd
 
@@ -88,10 +87,13 @@ class ReductionResult:
 
     ``rel_error`` is the error relative to the input.  It is measured in the
     configured norm, except where the interpolative path accepts a skeleton
-    on its Frobenius certificate without a measurement: then it is that
-    certificate, the square root of the unselected Cholesky mass, which is
-    the Frobenius residual of the least-squares refit and so also bounds
-    the s-norm error from above.  ``tolerance_met`` is False only when a
+    on its Cholesky estimate without a measurement: then it is that
+    estimate, the square root of the unselected Cholesky mass.  That mass
+    is the sum of the unselected terms' residual energies, while the
+    Frobenius residual of the least-squares refit is the norm of the sum of
+    those residuals, which can be up to sqrt(r - k) times larger for r
+    input terms and a skeleton of k.  So the estimate bounds neither the
+    Frobenius nor the s-norm error.  ``tolerance_met`` is False only when a
     max_rank cap forced a best-effort answer.  ``fallback_to_als`` marks
     interpolative runs that detected an indefinite Gram matrix and re-ran
     through ALS.
@@ -326,26 +328,33 @@ class _AlsState:
 
 def _distinct_term_order(U, tol=1e-10):
     """Indices of U's terms, largest s-value first, with terms whose direction
-    repeats an earlier pick deferred to the end."""
+    repeats an earlier pick deferred to the end.
+
+    Two terms share a direction when the product over dimensions of
+    |<u_j^(a), u_j^(b)>| exceeds 1 - tol.  The products are formed for every
+    pair at once, one r x r factor Gram per dimension multiplied in
+    dimension order, and the sorted terms are then scanned against them.
+    """
     order = np.argsort(-U.svalues, kind="stable")
+    cos = np.ones((U.rank, U.rank))
+    for F in U.factors:
+        cos *= np.abs(F.T @ F)
+    same = cos > 1.0 - tol
     picked, deferred = [], []
     for idx in order:
-        dup = False
-        for p in picked:
-            c = 1.0
-            for F in U.factors:
-                c *= abs(float(F[:, idx] @ F[:, p]))
-            if c > 1.0 - tol:
-                dup = True
-                break
-        (deferred if dup else picked).append(idx)
+        (deferred if same[idx, picked].any() else picked).append(idx)
     return picked + deferred
 
 
-def _als_fit(U, rank, cfg, uu, norm_target):
-    """Fit a rank-``rank`` CTD to U by ALS; returns (state, fro_residual, sweeps)."""
-    order = _distinct_term_order(U)[:rank]
-    state = _AlsState(U, U.svalues[order], [F[:, order] for F in U.factors])
+def _als_fit(U, terms, cfg, uu, norm_target):
+    """Fit a rank-``len(terms)`` CTD to U by ALS, started from U's terms
+    ``terms``; returns (state, fro_residual, sweeps).
+
+    Every candidate rank of one reduction starts from a prefix of the same
+    duplicate-aware term order (:func:`_distinct_term_order`), which
+    :func:`_als_reduce` computes once.
+    """
+    state = _AlsState(U, U.svalues[terms], [F[:, terms] for F in U.factors])
     goal = cfg.epsilon * norm_target
     stall = 1e-3 * cfg.epsilon * max(np.sqrt(uu), 1e-300)
     res_prev = state.residual(uu)
@@ -382,12 +391,13 @@ def _als_reduce(U, cfg, fallback=False):
                                fallback_to_als=fallback)
     norm_target = _root(uu) if cfg.norm == "frobenius" else s_norm(U)
     goal = cfg.epsilon * norm_target
+    order = _distinct_term_order(U)
     total_sweeps = 0
     best = None  # (rel_error_estimate, ctd) under a max_rank cap
 
     def try_rank(r):
         nonlocal total_sweeps, best
-        state, fro_res, sweeps = _als_fit(U, r, cfg, uu, norm_target)
+        state, fro_res, sweeps = _als_fit(U, order[:r], cfg, uu, norm_target)
         total_sweeps += sweeps
         V = state.to_ctd()
         # The Frobenius residual bounds the s-norm from above, so meeting the
@@ -526,24 +536,17 @@ def _pivoted_cholesky_lazy(U, bound=None):
     return pivots[:steps], L[:, :steps], C[:, :steps], remaining[:steps], indefinite
 
 
-def _skeleton_ctd_from_cols(U, C, pivots, L, k):
+def _skeleton_ctd_from_cols(U, C, pivots, k):
     """Least-squares refit of U onto the terms ``pivots[:k]``, from the
     fetched Gram columns ``C``.
 
-    The normal equations G_SS c = G_S 1 are solved through the Cholesky
-    factor restricted to the skeleton block, which is exact there; a
-    degenerate block falls back to lstsq.  Both sides are read from the
+    The weights solve the normal equations G_SS c = G_S 1 by a least-squares
+    solve on the skeleton's Gram block G_SS.  Both sides are read from the
     columns (the symmetric images of the skeleton's Gram rows).
     """
     S = pivots[:k]
     b = C[:, :k].sum(axis=0)
-    T = L[S, :k]  # lower triangular in pivot order
-    diag = np.abs(np.diag(T))
-    if diag.min(initial=0.0) > 1e-300:
-        y = solve_triangular(T, b, lower=True)
-        c = solve_triangular(T.T, y, lower=False)
-    else:
-        c, *_ = np.linalg.lstsq(C[S, :k], b, rcond=None)
+    c, *_ = np.linalg.lstsq(C[S, :k], b, rcond=None)
     factors = [np.array(F[:, S]) for F in U.factors]
     return _normalized(c * U.svalues[S], factors)
 
@@ -553,15 +556,16 @@ def interpolative_reduce(U, cfg):
 
     The search starts at the first skeleton whose unselected diagonal mass
     is at most (epsilon * ||U||)^2 and least-squares refits its weights.  A
-    skeleton whose unselected mass certifies the tolerance with a tenfold
-    margin is accepted as it is; otherwise the actual error is measured in
-    the configured norm, and the skeleton grows further if it still exceeds
-    the tolerance.  The Cholesky stops at that certificate, because no
-    skeleton past it is ever built, and it fetches only the Gram columns it
-    pivots on, so the r x r term Gram is never formed, at any rank or in
-    either norm.  An indefinite Gram matrix falls back to the ALS path with
-    a warning flag.  In the Frobenius norm, <U, U> is formed once and gives
-    both ||U|| and every measurement.
+    skeleton whose unselected mass meets the tolerance with a tenfold
+    margin is accepted as it is, on that estimate (see
+    :class:`ReductionResult` for why it is not a bound); otherwise the
+    actual error is measured in the configured norm, and the skeleton grows
+    further if it still exceeds the tolerance.  The Cholesky stops at that
+    estimate, because no skeleton past it is ever built, and it fetches only
+    the Gram columns it pivots on, so the r x r term Gram is never formed,
+    at any rank or in either norm.  An indefinite Gram matrix falls back to
+    the ALS path with a warning flag.  In the Frobenius norm, <U, U> is
+    formed once and gives both ||U|| and every measurement.
 
     Under a ``max_rank`` cap the best skeleton is chosen by measured error.
     An s-norm measurement stops once it exceeds the goal, so there these
@@ -578,10 +582,10 @@ def interpolative_reduce(U, cfg):
     if norm_target <= 1e-300:
         return ReductionResult(zero_ctd(U.modes), 0.0, 0, True, "id", cfg.norm)
     goal = cfg.epsilon * norm_target
-    # The skeleton search below accepts at the first k whose certificate
-    # meets this, so no later pivot is read.
+    # The skeleton search below accepts at the first k whose Cholesky
+    # estimate meets this, so no later pivot is read.
     cert_goal = 0.1 * goal
-    pivots, L, C, remaining, indefinite = _pivoted_cholesky_lazy(U, cert_goal)
+    pivots, _, C, remaining, indefinite = _pivoted_cholesky_lazy(U, cert_goal)
     if indefinite:
         return _als_reduce(U, cfg, fallback=True)
     mass_goal = goal * goal
@@ -593,12 +597,13 @@ def interpolative_reduce(U, cfg):
     for k in range(min(k0, cap), cap + 1):
         if k >= U.rank:
             break
-        V = _skeleton_ctd_from_cols(U, C, pivots, L, k)
-        # The unselected diagonal mass is the squared Frobenius residual of
-        # the least-squares fit, and the Frobenius norm bounds the s-norm;
-        # with a tenfold margin for the refit solve it certifies the
-        # tolerance on its own, at no cost, so it is checked first.  It is
-        # also the only check for sharply dependent terms: measuring the
+        V = _skeleton_ctd_from_cols(U, C, pivots, k)
+        # The unselected diagonal mass is the sum of the unselected terms'
+        # residual energies.  The squared Frobenius residual of the
+        # least-squares fit is the energy of their sum, up to r - k times
+        # more, so the mass is an estimate of the error, not a bound on it.
+        # It costs nothing, so it is checked first, with a tenfold margin.
+        # It is also the only check for sharply dependent terms: measuring the
         # difference of two nearly equal CTDs cancels, so the computed norm
         # cannot fall much below sqrt(machine eps) times the input norm, no
         # matter how good the skeleton is.

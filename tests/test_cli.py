@@ -265,6 +265,10 @@ class TestInvalidValues:
         config.write_text(json.dumps({"epsilon": -1}))
         typed = tmp_path / "typed.json"
         typed.write_text(json.dumps({"trials": "many"}))
+        method = tmp_path / "method.json"
+        method.write_text(json.dumps({"method": "bogus"}))
+        seed = tmp_path / "seed.json"
+        seed.write_text(json.dumps({"seed": "abc"}))
         cases = [
             (["demo-convergence", "--epsilon", "0"], "epsilon"),
             (["compare", "--trials", "0"], "trials"),
@@ -272,6 +276,8 @@ class TestInvalidValues:
             (["compare", "--config", str(typed)], "not supported"),
             (["reduce", str(src), "--epsilon", "0"], "epsilon"),
             (["max-entry", str(src), "--config", str(config)], "epsilon"),
+            (["max-entry", str(src), "--config", str(method)], "bogus"),
+            (["demo-convergence", "--config", str(seed)], "seed"),
         ]
         for argv, word in cases:
             out = tmp_path / "out"

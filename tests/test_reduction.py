@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from ctdopt import (
+    CTD,
     ReductionConfig,
     add,
     als_sweep,
@@ -332,6 +333,84 @@ class TestStoppedCholesky:
         assert_allclose(l_rem, rem, rtol=0, atol=1e-12 * scale_)
         S = l_piv
         assert_allclose(l_L[S] @ l_L[S].T, G[np.ix_(S, S)], rtol=0, atol=1e-12 * scale_)
+
+
+def pairwise_term_order(U, tol=1e-10):
+    """Reference duplicate-aware term order: the pairwise loop, one scalar
+    product per dimension and pair, that the reduction's all-pairs product
+    must reproduce."""
+    order = np.argsort(-U.svalues, kind="stable")
+    picked, deferred = [], []
+    for idx in order:
+        dup = False
+        for p in picked:
+            c = 1.0
+            for F in U.factors:
+                c *= abs(float(F[:, idx] @ F[:, p]))
+            if c > 1.0 - tol:
+                dup = True
+                break
+        (deferred if dup else picked).append(idx)
+    return picked + deferred
+
+
+def _planted_duplicates(seed, rank, modes, copies, tied):
+    """Random signed CTD plus ``copies`` repeats of its terms, each repeat
+    sign-flipped in one random dimension half the time; with ``tied`` the
+    weights take only the values 1 and 2."""
+    rng = np.random.default_rng(seed)
+    base = random_signed_ctd(modes, rank, rng)
+    cols = np.concatenate([np.arange(rank), rng.integers(0, rank, size=copies)])
+    factors = [np.array(F[:, cols]) for F in base.factors]
+    for t in range(rank, rank + copies):
+        if rng.random() < 0.5:
+            factors[rng.integers(len(modes))][:, t] *= -1.0
+    if tied:
+        sv = rng.choice([1.0, 2.0], size=cols.size)
+    else:
+        sv = base.svalues[cols] * rng.uniform(0.5, 2.0, size=cols.size)
+    return CTD(sv, factors)
+
+
+class TestDistinctTermOrder:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 8),
+        st.lists(st.integers(2, 5), min_size=1, max_size=4),
+        st.integers(0, 8),
+        st.booleans(),
+    )
+    @example(seed=0, rank=1, modes=[3, 4], copies=0, tied=False)
+    def test_matches_pairwise_loop(self, seed, rank, modes, copies, tied):
+        U = _planted_duplicates(seed, rank, modes, copies, tied)
+        got = [int(i) for i in reduction_mod._distinct_term_order(U)]
+        assert got == [int(i) for i in pairwise_term_order(U)]
+        assert sorted(got) == list(range(U.rank))
+
+    def test_formed_once_per_reduction(self, rng, monkeypatch):
+        # Three directions, each twice: the ALS ascent tries ranks 1, 2 and
+        # 4, then bisects to 3, all from one term order.
+        parts = [random_signed_ctd((4, 4, 4), 1, rng) for _ in range(3)]
+        U = zero_ctd((4, 4, 4))
+        for p in parts:
+            U = add(U, duplicated_ctd(p, 2))
+        calls = {"order": 0, "fit": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(reduction_mod, "_distinct_term_order",
+                            counted("order", reduction_mod._distinct_term_order))
+        monkeypatch.setattr(reduction_mod, "_als_fit",
+                            counted("fit", reduction_mod._als_fit))
+        res = reduce(U, ReductionConfig(epsilon=1e-6, algorithm="als"))
+        assert res.rank == 3
+        assert calls["fit"] >= 3
+        assert calls["order"] == 1
 
 
 class TestReductionResult:
