@@ -93,10 +93,12 @@ class ReductionResult:
     Frobenius residual of the least-squares refit is the norm of the sum of
     those residuals, which can be up to sqrt(r - k) times larger for r
     input terms and a skeleton of k.  So the estimate bounds neither the
-    Frobenius nor the s-norm error.  ``tolerance_met`` is False only when a
-    max_rank cap forced a best-effort answer.  ``fallback_to_als`` marks
-    interpolative runs that detected an indefinite Gram matrix and re-ran
-    through ALS.
+    Frobenius nor the s-norm error.  ``sweeps`` counts the ALS sweeps of
+    the candidate ranks that were fitted; a rank ALS skips unfitted adds
+    none, and the interpolative path reports 0.  ``tolerance_met`` is False
+    only when a max_rank cap forced a best-effort answer.
+    ``fallback_to_als`` marks interpolative runs that detected an indefinite
+    Gram matrix and re-ran through ALS.
     """
 
     ctd: CTD
@@ -193,11 +195,14 @@ def rank_one_approx(U, max_sweeps=500, goal=None):
     for sweep in range(1, max_sweeps + 1):
         sweeps = sweep
         s_prev = s
+        # pre holds the s-values times cross[0..j-1] (already updated this
+        # sweep), multiplied left to right, so each p is bitwise the product
+        # over k != j taken in index order
+        pre = U.svalues
         for j in range(d):
-            p = U.svalues.copy()
-            for k in range(d):
-                if k != j:
-                    p *= cross[k]
+            p = pre
+            for k in range(j + 1, d):
+                p = p * cross[k]
             b = U.factors[j] @ p
             nb = float(np.sqrt(b.dot(b)))  # np.linalg.norm(b), without its wrapper
             if nb < 1e-300:
@@ -210,6 +215,8 @@ def rank_one_approx(U, max_sweeps=500, goal=None):
                 break
             v[j] = b / nb
             cross[j] = U.factors[j].T @ v[j]
+            if j + 1 < d:
+                pre = pre * cross[j]
             s = nb
             if goal is not None and s > goal:
                 return RankOneApprox(s, v, sweeps)
@@ -346,6 +353,52 @@ def _distinct_term_order(U, tol=1e-10):
     return picked + deferred
 
 
+def _unfolding_spectra(U):
+    """Squared singular values of each mode-j unfolding U_(j), largest first,
+    one array of length M_j per dimension.
+
+    They are the eigenvalues of U_(j) U_(j)^T = X_j H_j X_j^T, where X_j is
+    F_j scaled by the s-values and H_j the elementwise product of the other
+    dimensions' factor Grams F_l^T F_l, so each costs an M_j x M_j
+    eigenproblem and no entry of U is formed.  Eigenvalues that roundoff
+    pushes below zero are clipped to zero.
+    """
+    grams = [F.T @ F for F in U.factors]
+    spectra = []
+    for j, F in enumerate(U.factors):
+        H = np.ones((U.rank, U.rank))
+        for l, G in enumerate(grams):
+            if l != j:
+                H *= G
+        X = F * U.svalues
+        lam = np.linalg.eigvalsh(X @ H @ X.T)
+        spectra.append(np.maximum(lam[::-1], 0.0))
+    return spectra
+
+
+def _rank_floor(U):
+    """``floor[k]`` for k = 0..r: the squared Frobenius error below which no
+    rank-k CTD comes to U, less a rounding allowance.
+
+    A rank-k CTD has mode-j unfoldings of matrix rank at most k, so by
+    Eckart-Young its squared error is at least the energy of each U_(j)'s
+    spectrum past its k largest values (:func:`_unfolding_spectra`); the
+    floor takes the largest such tail over j.  The allowance, eps * (d *
+    max M_j + r) * (sum of s-values)^2, estimates the rounding in those
+    tails: every entry of U_(j) U_(j)^T is a sum of terms no larger than
+    (sum s)^2, formed through d Gram products of length up to M_j and an
+    r x r contraction.  It is an estimate, not a proved bound.
+    """
+    floor = np.zeros(U.rank + 1)
+    for lam in _unfolding_spectra(U):
+        tails = np.cumsum(lam[::-1])[::-1]  # tails[k] = sum(lam[k:])
+        k = min(len(tails), len(floor))
+        floor[:k] = np.maximum(floor[:k], tails[:k])
+    allowance = (np.finfo(float).eps * (U.ndim * max(U.modes) + U.rank)
+                 * float(np.sum(U.svalues)) ** 2)
+    return floor - allowance
+
+
 def _als_fit(U, terms, cfg, uu, norm_target):
     """Fit a rank-``len(terms)`` CTD to U by ALS, started from U's terms
     ``terms``; returns (state, fro_residual, sweeps).
@@ -385,6 +438,16 @@ def _candidate_ranks(r_in, cap):
 
 
 def _als_reduce(U, cfg, fallback=False):
+    """ALS reduction: fit candidate ranks 1, 2, 4, ... until one meets the
+    tolerance, then bisect down to the smallest rank that does.
+
+    In the Frobenius norm and without a ``max_rank`` cap, a candidate rank
+    that the unfolding spectra prove too small (:func:`_rank_floor` above
+    goal^2) is counted as failed without being fitted: no ALS fit of that
+    rank could meet the goal.  The floor is formed once, before the first
+    candidate.  The s-norm is not bounded below by it, and a capped reduction
+    compares the fitted errors of its failures, so both fit every rank.
+    """
     uu = inner(U, U)
     if _root(uu) <= 1e-300:
         return ReductionResult(zero_ctd(U.modes), 0.0, 0, True, "als", cfg.norm,
@@ -392,11 +455,17 @@ def _als_reduce(U, cfg, fallback=False):
     norm_target = _root(uu) if cfg.norm == "frobenius" else s_norm(U)
     goal = cfg.epsilon * norm_target
     order = _distinct_term_order(U)
+    floor = None  # formed only where there is a candidate rank to rule out
+    if cfg.norm == "frobenius" and cfg.max_rank is None and U.rank > 1:
+        floor = _rank_floor(U)
     total_sweeps = 0
     best = None  # (rel_error_estimate, ctd) under a max_rank cap
 
     def try_rank(r):
+        """(error, V) of the fit at rank r, or None if the floor rules r out."""
         nonlocal total_sweeps, best
+        if floor is not None and floor[r] > goal * goal:
+            return None
         state, fro_res, sweeps = _als_fit(U, order[:r], cfg, uu, norm_target)
         total_sweeps += sweeps
         V = state.to_ctd()
@@ -416,9 +485,9 @@ def _als_reduce(U, cfg, fallback=False):
     success = None
     last_fail = 0
     for r in _candidate_ranks(U.rank, cfg.max_rank):
-        err, V = try_rank(r)
-        if err <= goal:
-            success = (r, err, V)
+        fit = try_rank(r)
+        if fit is not None and fit[0] <= goal:
+            success = (r, *fit)
             break
         last_fail = r
     if success is not None:
@@ -426,9 +495,9 @@ def _als_reduce(U, cfg, fallback=False):
         lo = last_fail
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            err_mid, V_mid = try_rank(mid)
-            if err_mid <= goal:
-                hi, err, V = mid, err_mid, V_mid
+            fit = try_rank(mid)
+            if fit is not None and fit[0] <= goal:
+                hi, (err, V) = mid, fit
             else:
                 lo = mid
         return ReductionResult(

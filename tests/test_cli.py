@@ -19,6 +19,7 @@ from ctdopt import (
     parse_termination,
     random_ctd,
     save_ctd,
+    scale,
     spike_ctd,
     termination_to_string,
     to_dense,
@@ -319,6 +320,43 @@ class TestDeterminism:
         summary = read_json(dirs[0] / "compare_summary.json")
         assert summary["trials"] == 3
         assert (dirs[0] / "compare_times.csv").exists()
+
+
+    def test_artifacts_independent_of_blas_threads(self, tmp_path):
+        # Each command runs twice in a child process, into the same --out
+        # directory: once on one OpenBLAS thread, once with this process's
+        # environment (BLAS picks its own thread count).  Every file written
+        # must be byte-identical.
+        rng = np.random.default_rng(9)
+        W = random_ctd([40] * 4, 12, low=-1.0, high=1.0, rng=rng)
+        noise = random_ctd([40] * 4, 6, low=-1.0, high=1.0, rng=rng)
+        U = add(add(W, scale(W, 0.5)), scale(noise, 1e-5))
+        src = tmp_path / "u.json"
+        save_ctd(U, str(src))
+        commands = {
+            "reduce": ["reduce", str(src), "--algorithm", "als",
+                       "--norm", "frobenius", "--epsilon", "1e-6"],
+            "demo": ["demo-convergence", "--seed", "7"],
+        }
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
+        one_thread = dict(env, OPENBLAS_NUM_THREADS="1")
+        for name, argv in commands.items():
+            out = tmp_path / name
+            runs = []
+            for child_env in (one_thread, env):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "ctdopt", *argv, "--out", str(out)],
+                    capture_output=True, text=True, env=child_env,
+                )
+                assert proc.returncode == 0, proc.stderr
+                files = sorted(out.iterdir())
+                runs.append((proc.stdout, {f.name: f.read_bytes() for f in files}))
+                for f in files:
+                    f.unlink()
+            assert runs[0][1], name
+            assert runs[0] == runs[1], name
 
 
 class TestModuleEntryPoint:

@@ -25,6 +25,7 @@ from ctdopt import (
     zero_ctd,
 )
 from ctdopt import reduction as reduction_mod
+from ctdopt.reduction import RankOneApprox
 from ctdopt.experiments import background_instance, plant_spike
 from conftest import random_signed_ctd
 
@@ -246,6 +247,86 @@ _small_ctds = st.builds(
     st.lists(st.integers(2, 5), min_size=2, max_size=4),
 )
 
+# as above, but down to one dimension, where a sweep has no other factor
+_small_ctds_any_d = st.builds(
+    _small_ctd,
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+    st.lists(st.integers(2, 6), min_size=1, max_size=4),
+)
+
+
+def reference_rank_one_approx(U, max_sweeps=500, goal=None):
+    """The rank-one fit as it was before it kept the left product across a
+    sweep: each update multiplies a fresh copy of the s-values by every
+    other dimension's ``cross`` vector.  :func:`rank_one_approx` must match
+    it bit for bit."""
+    if U.rank == 0:
+        return RankOneApprox(0.0, [np.zeros(M) for M in U.modes])
+    start = int(np.argmax(U.svalues))
+    v = [np.array(F[:, start]) for F in U.factors]
+    cross = [F.T @ vj for F, vj in zip(U.factors, v)]
+    s = float(U.svalues[start])
+    d = U.ndim
+    restarted = False
+    sweeps = 0
+    for sweep in range(1, max_sweeps + 1):
+        sweeps = sweep
+        s_prev = s
+        for j in range(d):
+            p = U.svalues.copy()
+            for k in range(d):
+                if k != j:
+                    p *= cross[k]
+            b = U.factors[j] @ p
+            nb = float(np.sqrt(b.dot(b)))
+            if nb < 1e-300:
+                if restarted:
+                    return RankOneApprox(0.0, v, sweeps)
+                restarted = True
+                v = [np.full(M, 1.0 / np.sqrt(M)) for M in U.modes]
+                cross = [F.T @ vj for F, vj in zip(U.factors, v)]
+                break
+            v[j] = b / nb
+            cross[j] = U.factors[j].T @ v[j]
+            s = nb
+            if goal is not None and s > goal:
+                return RankOneApprox(s, v, sweeps)
+        else:
+            if abs(s - s_prev) < 1e-14 * max(s, 1e-300):
+                break
+    return RankOneApprox(s, v, sweeps)
+
+
+def assert_same_fit(got, want):
+    assert got.svalue == want.svalue
+    assert got.sweeps == want.sweeps
+    assert len(got.factors) == len(want.factors)
+    for a, b in zip(got.factors, want.factors):
+        assert np.array_equal(a, b)
+
+
+class TestRankOneLoop:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_small_ctds_any_d, st.sampled_from([None, 0.25, 0.5, 0.9]))
+    def test_bitwise_equal_to_reference(self, U, goal_frac):
+        goal = None if goal_frac is None else goal_frac * frobenius_norm(U)
+        for max_sweeps in (3, 500):
+            assert_same_fit(rank_one_approx(U, max_sweeps, goal=goal),
+                            reference_rank_one_approx(U, max_sweeps, goal=goal))
+
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_zero_tensor_restart(self, rng, rank):
+        # X - X: at rank 3 the updates reach exactly zero, so the fit
+        # restarts from a uniform direction and returns 0 when it meets zero
+        # again; at rank 1 a roundoff residue stays above the zero test and
+        # the fit sweeps to its cap.
+        X = random_signed_ctd((4, 5, 3, 4), rank, rng)
+        Z = add(X, scale(X, -1.0))
+        got = rank_one_approx(Z)
+        assert_same_fit(got, reference_rank_one_approx(Z))
+        assert got.svalue <= 1e-12 * frobenius_norm(X)
+
 
 def dense_term_gram(U):
     """The term Gram matrix <s_a u_a, s_b u_b>, from the materialized terms."""
@@ -389,28 +470,155 @@ class TestDistinctTermOrder:
         assert sorted(got) == list(range(U.rank))
 
     def test_formed_once_per_reduction(self, rng, monkeypatch):
-        # Three directions, each twice: the ALS ascent tries ranks 1, 2 and
-        # 4, then bisects to 3, all from one term order.
-        parts = [random_signed_ctd((4, 4, 4), 1, rng) for _ in range(3)]
-        U = zero_ctd((4, 4, 4))
-        for p in parts:
-            U = add(U, duplicated_ctd(p, 2))
-        calls = {"order": 0, "fit": 0}
+        # Three directions, each twice: the unfolding spectra rule out ranks
+        # 1 and 2, so the ALS ascent fits 4, then bisects to 3, and both
+        # fits start from one term order.
+        U = three_directions_twice(rng)
+        calls = {"order": 0}
 
-        def counted(name, fn):
+        def counted(fn):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls["order"] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
         monkeypatch.setattr(reduction_mod, "_distinct_term_order",
-                            counted("order", reduction_mod._distinct_term_order))
-        monkeypatch.setattr(reduction_mod, "_als_fit",
-                            counted("fit", reduction_mod._als_fit))
+                            counted(reduction_mod._distinct_term_order))
+        fitted = record_fitted_ranks(monkeypatch)
         res = reduce(U, ReductionConfig(epsilon=1e-6, algorithm="als"))
         assert res.rank == 3
-        assert calls["fit"] >= 3
+        assert fitted == [4, 3]
         assert calls["order"] == 1
+
+
+def three_directions_twice(rng):
+    """Exactly rank 3, stored as rank 6: three random directions, each
+    twice."""
+    parts = [random_signed_ctd((4, 4, 4), 1, rng) for _ in range(3)]
+    U = zero_ctd((4, 4, 4))
+    for p in parts:
+        U = add(U, duplicated_ctd(p, 2))
+    return U
+
+
+def record_fitted_ranks(monkeypatch):
+    """Patch ``_als_fit`` to append the rank of every ALS fit to the returned
+    list."""
+    fitted = []
+    fit = reduction_mod._als_fit
+
+    def wrapper(U, terms, *args):
+        fitted.append(len(terms))
+        return fit(U, terms, *args)
+
+    monkeypatch.setattr(reduction_mod, "_als_fit", wrapper)
+    return fitted
+
+
+def dense_unfolding(U, j):
+    """The mode-j unfolding of the dense tensor: M_j rows, one column per
+    index of the other dimensions."""
+    return np.moveaxis(to_dense(U), j, 0).reshape(U.modes[j], -1)
+
+
+class TestRankFloor:
+    """``_unfolding_spectra`` and the rank floor that lets Frobenius ALS
+    skip candidate ranks that cannot meet the tolerance."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 8),
+        st.lists(st.integers(2, 6), min_size=2, max_size=4),
+    )
+    @example(seed=1, rank=8, modes=[2, 3, 2])  # every M_j < r
+    @example(seed=2, rank=2, modes=[6, 5, 6, 4])  # every M_j > r
+    def test_spectra_match_dense_svd(self, seed, rank, modes):
+        U = _small_ctd(seed, rank, modes)
+        spectra = reduction_mod._unfolding_spectra(U)
+        assert len(spectra) == U.ndim
+        for j, lam in enumerate(spectra):
+            sigma = np.linalg.svd(dense_unfolding(U, j), compute_uv=False)
+            want = np.zeros(U.modes[j])
+            want[:sigma.size] = sigma**2
+            assert lam.shape == want.shape
+            assert np.all(lam >= 0.0)
+            assert np.all(np.diff(lam) <= 0.0)
+            assert_allclose(lam, want, rtol=0, atol=1e-12 * want[0])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+        st.lists(st.integers(2, 6), min_size=2, max_size=4),
+        st.integers(1, 3),
+    )
+    def test_exact_rank_never_skipped(self, seed, rank, modes, copies):
+        # U is exactly rank ``rank`` (each term repeated at other weights and
+        # signs), so its floor at that rank must not rule it out at any goal.
+        rng = np.random.default_rng(seed)
+        W = random_signed_ctd(modes, rank, rng)
+        U = W
+        for c in rng.uniform(-2.0, 2.0, size=copies):
+            U = add(U, scale(W, c))
+        floor = reduction_mod._rank_floor(U)
+        assert floor.shape == (U.rank + 1,)
+        assert floor[rank] <= 0.0
+
+    def test_floor_is_the_largest_tail_less_the_allowance(self, rng):
+        U = random_signed_ctd((5, 6, 4), 6, rng)
+        tails = np.zeros(U.rank + 1)
+        for j in range(U.ndim):
+            sigma = np.linalg.svd(dense_unfolding(U, j), compute_uv=False)
+            for k in range(U.rank + 1):
+                tails[k] = max(tails[k], np.sum(sigma[k:] ** 2))
+        allowance = np.finfo(float).eps * (3 * 6 + 6) * np.sum(U.svalues) ** 2
+        assert_allclose(reduction_mod._rank_floor(U), tails - allowance,
+                        rtol=0, atol=1e-12 * tails[0])
+        # No rank-k CTD comes closer, U's own k largest terms among them.
+        dense = to_dense(U)
+        for k in range(U.rank + 1):
+            keep = np.argsort(-U.svalues)[:k]
+            V = CTD(U.svalues[keep], [F[:, keep] for F in U.factors])
+            assert tails[k] <= np.sum((dense - to_dense(V)) ** 2) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("kwargs, ranks", [
+        ({"norm": "snorm"}, [1, 2, 4, 3]),
+        ({"norm": "frobenius", "max_rank": 2}, [1, 2]),
+        ({"norm": "snorm", "max_rank": 2}, [1, 2]),
+    ])
+    def test_snorm_and_capped_fit_every_rank(self, rng, monkeypatch, kwargs, ranks):
+        # Outside the uncapped Frobenius norm the floor is never formed, and
+        # every candidate rank of the ascent is fitted.
+        U = three_directions_twice(rng)
+
+        def no_floor(_):
+            raise AssertionError("floor formed")
+
+        monkeypatch.setattr(reduction_mod, "_rank_floor", no_floor)
+        fitted = record_fitted_ranks(monkeypatch)
+        reduce(U, ReductionConfig(epsilon=1e-6, algorithm="als", **kwargs))
+        assert fitted == ranks
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_skipping_changes_only_the_sweeps(self, monkeypatch, seed):
+        # Without the floor every candidate rank is fitted.  The skipped fits
+        # would have failed, and each fit starts afresh from its prefix of
+        # the term order, so the result is bitwise the same, in fewer sweeps.
+        rng = np.random.default_rng([7, seed])
+        W = random_signed_ctd((6, 5, 6), 5, rng)
+        U = add(W, scale(W, -0.5))
+        U = add(U, scale(random_signed_ctd((6, 5, 6), 3, rng), 1e-9))
+        cfg = ReductionConfig(epsilon=1e-6, algorithm="als")
+        pruned = reduce(U, cfg)
+        monkeypatch.setattr(reduction_mod, "_rank_floor",
+                            lambda V: np.zeros(V.rank + 1))
+        full = reduce(U, cfg)
+        assert pruned.sweeps < full.sweeps
+        assert pruned.rel_error == full.rel_error
+        assert np.array_equal(pruned.ctd.svalues, full.ctd.svalues)
+        for got, want in zip(pruned.ctd.factors, full.ctd.factors):
+            assert np.array_equal(got, want)
 
 
 class TestReductionResult:
