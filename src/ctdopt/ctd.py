@@ -291,14 +291,20 @@ def square(U):
     canonical.
 
     All pairs but the last, (r - 1, r - 1), are gathered in one pass and
-    normalized together; the last is ``hadamard`` of term r - 1 with
-    itself.  The result is bit for bit what building row a, the pairs
-    (a, a), ..., (a, r - 1), as ``hadamard(term a, terms a.. with the
-    weights past the first doubled)`` would give: NumPy sums the column
-    norms of a C-ordered array with two or more columns row by row, as it
-    does each of those rows, but those of a single column pairwise, as it
-    does the last row.  ``take`` keeps the gather C-ordered where fancy
-    indexing would not.
+    normalized together, as :func:`_normalized` does; the last is
+    ``hadamard`` of term r - 1 with itself.  The result is bit for bit what
+    building row a, the pairs (a, a), ..., (a, r - 1), as ``hadamard(term
+    a, terms a.. with the weights past the first doubled)`` would give:
+    NumPy sums the column norms of a C-ordered array with two or more
+    columns row by row, as it does each of those rows, but those of a
+    single column pairwise, as it does the last row.
+
+    Each dimension's output array is allocated once, and the pair products
+    are formed, normalized and followed by the last pair's column in place,
+    so the peak memory is the output plus one scratch array of the largest
+    mode size by the number of pairs.  The gathers go through that scratch
+    because ``take`` copies into a temporary when its ``out`` is not
+    C-contiguous, as the output's leading columns are not.
     """
     r = U.rank
     if r == 0:
@@ -309,26 +315,34 @@ def square(U):
         return tail
     ia, ib = np.triu_indices(r)
     ia, ib = ia[:-1], ib[:-1]
+    n = len(ia)
     s = U.svalues
     weights = s[ia] * (s[ib] * np.where(ia == ib, 1.0, 2.0))
-    # One buffer serves every dimension's second operand, and the raw
-    # products are freed before the final copy: without both, the many
-    # short-lived wide arrays raise the peak resident memory of a long
-    # search above that of the row-wise build.
-    second = np.empty((max(U.modes), len(ia)))
+    total = np.abs(weights)
+    keep = total > _DROP_THRESHOLD
+    scratch = np.empty((max(U.modes), n))
     factors = []
-    for F in U.factors:
-        P = F.take(ia, axis=1)
-        P *= F.take(ib, axis=1, out=second[:F.shape[0]])
-        factors.append(P)
-    del second
-    body = _normalized(weights, factors)
-    del factors
-    return CTD(
-        np.concatenate([body.svalues, tail.svalues]),
-        [np.hstack([B, T]) for B, T in zip(body.factors, tail.factors)],
-        validate=False,
-    )
+    for F, T in zip(U.factors, tail.factors):
+        out = np.empty((F.shape[0], n + tail.rank))
+        body, buf = out[:, :n], scratch[:F.shape[0]]
+        body[...] = F.take(ia, axis=1, out=buf, mode="clip")
+        body *= F.take(ib, axis=1, out=buf, mode="clip")
+        # np.linalg.norm(body, axis=0), without its two temporaries
+        norms = np.sqrt(np.add.reduce(np.multiply(body, body, out=buf), axis=0))
+        keep &= norms > _DROP_THRESHOLD
+        body /= np.where(norms > _DROP_THRESHOLD, norms, 1.0)
+        total = total * norms
+        out[:, n:] = T
+        factors.append(out)
+    keep &= total > _DROP_THRESHOLD
+    neg = weights < 0
+    if np.any(neg):
+        factors[0][:, np.flatnonzero(neg)] *= -1.0
+    if not np.all(keep):
+        cols = np.concatenate([np.flatnonzero(keep), np.arange(n, n + tail.rank)])
+        factors = [F[:, cols] for F in factors]
+        total = total[keep]
+    return CTD(np.concatenate([total, tail.svalues]), factors, validate=False)
 
 
 def add(U, V):

@@ -303,7 +303,8 @@ def _search(method, U, cfg, Y, lam0, step):
     method, its lambda; where it returns None, lambda is <Y_k, U> of the
     reduced, normalized iterate.  Every iterate is reduced, normalized and
     recorded, until the termination rule fires or ``k_max`` is used up; the
-    latter is flagged as ``"k_max reached"``.
+    latter is flagged as ``"k_max reached"``.  A step holds one unreduced
+    iterate at a time: each is released once its reduction returns.
     """
     trace = MaxEntryTrace(method=method)
     t0 = time.perf_counter()
@@ -314,6 +315,9 @@ def _search(method, U, cfg, Y, lam0, step):
         t0 = time.perf_counter()
         Q, lam = step(Y, k)
         Y_new, tol_met = _apply_reduction(Q, cfg.reduction)
+        # The unreduced iterate is the largest array of a step; without this
+        # it would stay alive while the next step builds its successor.
+        del Q
         Y_new = _unit(Y_new, f"iterate norm collapsed to zero at iteration {k}")
         if lam is None:
             lam = inner(Y_new, U)

@@ -93,12 +93,17 @@ class ReductionResult:
     Frobenius residual of the least-squares refit is the norm of the sum of
     those residuals, which can be up to sqrt(r - k) times larger for r
     input terms and a skeleton of k.  So the estimate bounds neither the
-    Frobenius nor the s-norm error.  ``sweeps`` counts the ALS sweeps of
-    the candidate ranks that were fitted; a rank ALS skips unfitted adds
-    none, and the interpolative path reports 0.  ``tolerance_met`` is False
-    only when a max_rank cap forced a best-effort answer.
-    ``fallback_to_als`` marks interpolative runs that detected an indefinite
-    Gram matrix and re-ran through ALS.
+    Frobenius nor the s-norm error.  A measured s-norm ``rel_error`` is the
+    weight of a single-start rank-one fit, a lower bound on the s-norm of
+    the difference; the interpolative path measures it on the input's own
+    terms (see :func:`interpolative_reduce`), ALS on the concatenated
+    difference.
+
+    ``sweeps`` counts the ALS sweeps of the candidate ranks that were
+    fitted; a rank ALS skips unfitted adds none, and the interpolative path
+    reports 0.  ``tolerance_met`` is False only when a max_rank cap forced a
+    best-effort answer.  ``fallback_to_als`` marks interpolative runs that
+    detected an indefinite Gram matrix and re-ran through ALS.
     """
 
     ctd: CTD
@@ -127,11 +132,16 @@ class ReductionResult:
 
 @dataclass
 class RankOneApprox:
-    """Best rank-one separated approximation found by alternating solves."""
+    """Best rank-one separated approximation found by alternating solves.
+
+    ``converged`` is False only when the sweep cap ended the fit; a fit that
+    stopped on its weight, on a goal or on a zero input converged.
+    """
 
     svalue: float
     factors: list = field(default_factory=list)
     sweeps: int = 0
+    converged: bool = True
 
     def as_ctd(self):
         if self.svalue <= 0.0:
@@ -172,23 +182,36 @@ def _frobenius_difference(U, V, uu):
 # s-norm (best rank-one weight)
 
 def rank_one_approx(U, max_sweeps=500, goal=None):
-    """Alternating fit of a single rank-one term, started from U's largest
-    term.  Converged when the weight changes by less than 1e-14 relatively
-    between sweeps, or after ``max_sweeps`` sweeps.
+    """Alternating fit of a single rank-one term, started from U's term of
+    largest |s-value|.  Converged when the weight changes by less than 1e-14
+    relatively between sweeps; otherwise it stops after ``max_sweeps``
+    sweeps, with ``converged`` False.
+
+    U may carry signed s-values (the s-norm error of an interpolative
+    skeleton is measured on such a CTD).  The start is the same as the
+    largest term's for positive s-values, and the fit is unchanged when
+    every s-value flips sign, because the s-norm of -U is that of U.
 
     Every weight after an update is <U, v_1 x ... x v_d> for unit v_j, a
     lower bound on the s-norm.  So with a ``goal`` the fit returns as soon as
     that weight exceeds ``goal``: a measurement of ``s_norm(U) <= goal`` has
     failed by then, whatever further sweeps would find.  Below the goal it
     sweeps on, because a weight still rising there may yet cross it.
+
+    An update whose norm is at most machine epsilon times the sum of |s_l|
+    (or 1e-300) is taken as zero: that sum bounds the norm of every update,
+    so such an update is rounding noise, as on an exactly cancelling input.
+    The fit then restarts once from a uniform direction, and returns 0 if
+    it meets zero again.
     """
     if U.rank == 0:
         return RankOneApprox(0.0, [np.zeros(M) for M in U.modes])
-    start = int(np.argmax(U.svalues))
+    start = int(np.argmax(np.abs(U.svalues)))
     v = [np.array(F[:, start]) for F in U.factors]
     # cross[j][l] = <u_j^(l), v_j>
     cross = [F.T @ vj for F, vj in zip(U.factors, v)]
-    s = float(U.svalues[start])
+    s = abs(float(U.svalues[start]))
+    zero = max(np.finfo(float).eps * float(np.sum(np.abs(U.svalues))), 1e-300)
     d = U.ndim
     restarted = False
     sweeps = 0
@@ -205,7 +228,7 @@ def rank_one_approx(U, max_sweeps=500, goal=None):
                 p = p * cross[k]
             b = U.factors[j] @ p
             nb = float(np.sqrt(b.dot(b)))  # np.linalg.norm(b), without its wrapper
-            if nb < 1e-300:
+            if nb <= zero:
                 if restarted:
                     return RankOneApprox(0.0, v, sweeps)
                 # One retry from a uniform direction before giving up.
@@ -222,8 +245,8 @@ def rank_one_approx(U, max_sweeps=500, goal=None):
                 return RankOneApprox(s, v, sweeps)
         else:
             if abs(s - s_prev) < 1e-14 * max(s, 1e-300):
-                break
-    return RankOneApprox(s, v, sweeps)
+                return RankOneApprox(s, v, sweeps)
+    return RankOneApprox(s, v, sweeps, converged=False)
 
 
 def s_norm(U):
@@ -607,7 +630,8 @@ def _pivoted_cholesky_lazy(U, bound=None):
 
 def _skeleton_ctd_from_cols(U, C, pivots, k):
     """Least-squares refit of U onto the terms ``pivots[:k]``, from the
-    fetched Gram columns ``C``.
+    fetched Gram columns ``C``; returns (V, c), where V's term for pivot i
+    is c_i s_i u_i.
 
     The weights solve the normal equations G_SS c = G_S 1 by a least-squares
     solve on the skeleton's Gram block G_SS.  Both sides are read from the
@@ -617,7 +641,22 @@ def _skeleton_ctd_from_cols(U, C, pivots, k):
     b = C[:, :k].sum(axis=0)
     c, *_ = np.linalg.lstsq(C[S, :k], b, rcond=None)
     factors = [np.array(F[:, S]) for F in U.factors]
-    return _normalized(c * U.svalues[S], factors)
+    return _normalized(c * U.svalues[S], factors), c
+
+
+def _skeleton_residual(U, S, c):
+    """U - V for the refit V of U onto its terms ``S`` with coefficients
+    ``c``, on U's own terms: the weights are U's s-values, less c_i s_i on
+    each i in S.
+
+    The weights are signed, so this is a CTD only for
+    :func:`rank_one_approx`, which accepts them.  It shares U's read-only
+    factor arrays, so it costs one vector of length rank(U), where the
+    concatenated difference copies every factor.
+    """
+    w = np.array(U.svalues)
+    w[S] -= c * U.svalues[S]
+    return CTD(w, U.factors, validate=False)
 
 
 def interpolative_reduce(U, cfg):
@@ -635,6 +674,11 @@ def interpolative_reduce(U, cfg):
     at any rank or in either norm.  An indefinite Gram matrix falls back to
     the ALS path with a warning flag.  In the Frobenius norm, <U, U> is
     formed once and gives both ||U|| and every measurement.
+
+    The s-norm error of a skeleton is measured on the input's own terms
+    (:func:`_skeleton_residual`): the skeleton's terms are input terms, so
+    U - V is U with the weights s_i - c_i s_i on the skeleton, where c is
+    the refit's solution, and a measurement holds no second copy of U.
 
     Under a ``max_rank`` cap the best skeleton is chosen by measured error.
     An s-norm measurement stops once it exceeds the goal, so there these
@@ -666,7 +710,7 @@ def interpolative_reduce(U, cfg):
     for k in range(min(k0, cap), cap + 1):
         if k >= U.rank:
             break
-        V = _skeleton_ctd_from_cols(U, C, pivots, k)
+        V, c = _skeleton_ctd_from_cols(U, C, pivots, k)
         # The unselected diagonal mass is the sum of the unselected terms'
         # residual energies.  The squared Frobenius residual of the
         # least-squares fit is the energy of their sum, up to r - k times
@@ -682,7 +726,8 @@ def interpolative_reduce(U, cfg):
         if cfg.norm == "frobenius":
             err = _frobenius_difference(U, V, uu)
         else:
-            err = norm_of_difference(U, V, "snorm", goal=goal)
+            err = rank_one_approx(_skeleton_residual(U, pivots[:k], c),
+                                  goal=goal).svalue
         if err <= goal:
             return ReductionResult(V, err / norm_target, 0, True, "id", cfg.norm)
         if best is None or err < best[0]:

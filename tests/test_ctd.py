@@ -179,6 +179,30 @@ class TestAlgebra:
             for j, F in enumerate(W.factors):
                 assert np.array_equal(F, np.hstack([R.factors[j] for R in rows]))
 
+    @pytest.mark.parametrize("svalues, rank", [
+        ((1.0, 1e-200, 2.0), 5), ((1.0, 2.0, 1e-200), 5), ((1.0, -2.0, 0.5), 6)])
+    def test_square_normalizes_as_hadamard(self, rng, svalues, rank):
+        # As the rows built by hadamard: a pair weight below 1e-300 drops
+        # the pair (the tiny term's square goes, its products with the
+        # others stay; in the second case that empties the last pair's
+        # column), and a negative pair weight moves its sign into the first
+        # factor.
+        U = CTD(np.array(svalues), random_signed_ctd((5, 4), 3, rng).factors,
+                validate=False)
+        rows = []
+        for a in range(U.rank):
+            head = CTD(U.svalues[a:a + 1], [F[:, a:a + 1] for F in U.factors],
+                       validate=False)
+            weights = U.svalues[a:].copy()
+            weights[1:] *= 2.0
+            rows.append(hadamard(head, CTD(weights, [F[:, a:] for F in U.factors],
+                                           validate=False)))
+        W = square(U)
+        assert W.rank == rank
+        assert np.array_equal(W.svalues, np.concatenate([R.svalues for R in rows]))
+        for j, F in enumerate(W.factors):
+            assert np.array_equal(F, np.hstack([R.factors[j] for R in rows]))
+
     def test_shape_mismatch(self, rng):
         U = random_signed_ctd((3, 3), 2, rng)
         V = random_signed_ctd((3, 4), 2, rng)

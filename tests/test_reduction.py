@@ -27,7 +27,7 @@ from ctdopt import (
 from ctdopt import reduction as reduction_mod
 from ctdopt.reduction import RankOneApprox
 from ctdopt.experiments import background_instance, plant_spike
-from conftest import random_signed_ctd
+from conftest import random_modes, random_signed_ctd
 
 
 def duplicated_ctd(base, copies):
@@ -260,13 +260,15 @@ def reference_rank_one_approx(U, max_sweeps=500, goal=None):
     """The rank-one fit as it was before it kept the left product across a
     sweep: each update multiplies a fresh copy of the s-values by every
     other dimension's ``cross`` vector.  :func:`rank_one_approx` must match
-    it bit for bit."""
+    it bit for bit.  Its start (largest |s-value|) and zero test (relative
+    to the sum of |s_l|) follow the current fit."""
     if U.rank == 0:
         return RankOneApprox(0.0, [np.zeros(M) for M in U.modes])
-    start = int(np.argmax(U.svalues))
+    start = int(np.argmax(np.abs(U.svalues)))
     v = [np.array(F[:, start]) for F in U.factors]
     cross = [F.T @ vj for F, vj in zip(U.factors, v)]
-    s = float(U.svalues[start])
+    s = abs(float(U.svalues[start]))
+    zero = max(np.finfo(float).eps * float(np.sum(np.abs(U.svalues))), 1e-300)
     d = U.ndim
     restarted = False
     sweeps = 0
@@ -280,7 +282,7 @@ def reference_rank_one_approx(U, max_sweeps=500, goal=None):
                     p *= cross[k]
             b = U.factors[j] @ p
             nb = float(np.sqrt(b.dot(b)))
-            if nb < 1e-300:
+            if nb <= zero:
                 if restarted:
                     return RankOneApprox(0.0, v, sweeps)
                 restarted = True
@@ -295,12 +297,15 @@ def reference_rank_one_approx(U, max_sweeps=500, goal=None):
         else:
             if abs(s - s_prev) < 1e-14 * max(s, 1e-300):
                 break
+    else:
+        return RankOneApprox(s, v, sweeps, converged=False)
     return RankOneApprox(s, v, sweeps)
 
 
 def assert_same_fit(got, want):
     assert got.svalue == want.svalue
     assert got.sweeps == want.sweeps
+    assert got.converged == want.converged
     assert len(got.factors) == len(want.factors)
     for a, b in zip(got.factors, want.factors):
         assert np.array_equal(a, b)
@@ -317,15 +322,89 @@ class TestRankOneLoop:
 
     @pytest.mark.parametrize("rank", [1, 3])
     def test_zero_tensor_restart(self, rng, rank):
-        # X - X: at rank 3 the updates reach exactly zero, so the fit
-        # restarts from a uniform direction and returns 0 when it meets zero
-        # again; at rank 1 a roundoff residue stays above the zero test and
-        # the fit sweeps to its cap.
+        # X - X: the updates are zero up to roundoff, so the fit restarts
+        # from a uniform direction and returns 0 when it meets zero again.
         X = random_signed_ctd((4, 5, 3, 4), rank, rng)
         Z = add(X, scale(X, -1.0))
         got = rank_one_approx(Z)
         assert_same_fit(got, reference_rank_one_approx(Z))
         assert got.svalue <= 1e-12 * frobenius_norm(X)
+
+    def test_cancelling_input_is_zero_at_once(self, rng):
+        # At rank 1 the matrix-vector product leaves a residue of about
+        # 2e-17, far above an absolute 1e-300 zero test, which let this fit
+        # run all 500 sweeps to return 5.9e-20.  Relative to the sum of the
+        # |s-values| the residue is rounding noise.
+        X = random_signed_ctd((4, 5, 3, 4), 1, rng)
+        got = rank_one_approx(add(X, scale(X, -1.0)))
+        assert got.svalue == 0.0
+        assert got.sweeps <= 2
+        assert got.converged
+
+    def test_converged_flag(self, rng):
+        U = random_signed_ctd((5, 4, 6), 4, rng)
+        done = rank_one_approx(U)
+        assert done.converged and done.sweeps < 500
+        capped = rank_one_approx(U, 2)
+        assert capped.sweeps == 2 and not capped.converged
+        # a goal below the first weight ends the fit, converged, at sweep 1
+        early = rank_one_approx(U, 2, goal=0.0)
+        assert early.sweeps == 1 and early.converged
+
+
+class TestSkeletonResidual:
+    """U - V on U's own terms, the form in which the interpolative path
+    measures a skeleton's s-norm error, against dense oracles."""
+
+    @staticmethod
+    def dense_gap(U, V, R):
+        """||R - (U - V)||_F, from the dense tensors."""
+        return np.linalg.norm(to_dense(R) - (to_dense(U) - to_dense(V)))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_dense_difference(self, seed):
+        rng = np.random.default_rng(seed)
+        U = random_signed_ctd(random_modes(rng), int(rng.integers(3, 8)), rng)
+        tol = 1e-12 * frobenius_norm(U)
+        # chosen coefficients, alternating in sign
+        S = rng.choice(U.rank, size=int(rng.integers(2, U.rank)), replace=False)
+        c = rng.uniform(0.1, 2.0, size=len(S)) * (-1.0) ** (np.arange(len(S)) + 1)
+        V = reduction_mod._normalized(c * U.svalues[S], [F[:, S] for F in U.factors])
+        R = reduction_mod._skeleton_residual(U, S, c)
+        assert self.dense_gap(U, V, R) <= tol
+        # the refit's own coefficients, at every skeleton size
+        pivots, _, C, _, _ = reduction_mod._pivoted_cholesky_lazy(U)
+        for k in range(1, len(pivots)):
+            V, c = reduction_mod._skeleton_ctd_from_cols(U, C, pivots, k)
+            R = reduction_mod._skeleton_residual(U, pivots[:k], c)
+            assert self.dense_gap(U, V, R) <= tol
+            # R shares U's factors and has U's rank
+            assert R.rank == U.rank
+            assert all(a is b for a, b in zip(R.factors, U.factors))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fit_ignores_the_sign_of_the_weights(self, seed):
+        rng = np.random.default_rng(seed)
+        U = random_signed_ctd(random_modes(rng), 6, rng)
+        S = np.array([0, 2, 3])
+        c = np.array([-0.7, 1.6, 0.4])
+        R = reduction_mod._skeleton_residual(U, S, c)
+        assert (R.svalues < 0).any() and (R.svalues > 0).any()
+        flipped = CTD(-R.svalues, R.factors, validate=False)
+        got, want = rank_one_approx(flipped), rank_one_approx(R)
+        assert got.svalue == want.svalue and got.sweeps == want.sweeps
+
+    def test_rank_one_difference_is_its_frobenius_norm(self, rng):
+        # six terms along one direction, signs in the first factor
+        x = random_signed_ctd((4, 5, 3), 1, rng)
+        signs = np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
+        factors = [x.factors[0] * signs] + [np.repeat(F, 6, axis=1) for F in x.factors[1:]]
+        U = CTD(np.arange(1.0, 7.0), factors)
+        R = reduction_mod._skeleton_residual(U, np.array([0, 3, 4]),
+                                             np.array([-0.5, 1.5, 0.25]))
+        dense = np.linalg.norm(to_dense(R))
+        assert dense > 1.0
+        assert_allclose(rank_one_approx(R).svalue, dense, rtol=1e-12)
 
 
 def dense_term_gram(U):
