@@ -24,12 +24,12 @@ from functools import partial
 from .experiments import (
     EXPERIMENTS,
     ExperimentConfig,
+    _reduction,
     max_entry_file,
     parse_termination,
     reduce_file,
 )
 from .maxentry import MaxEntrySearchConfig, RankThreshold
-from .reduction import ReductionConfig
 
 
 class CommandLineError(ValueError):
@@ -42,9 +42,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise CommandLineError(message)
-
-
-_CONFIG_KEYS = ("seed", "trials", "epsilon", "norm", "algorithm", "termination", "out", "method")
 
 
 def _build_parser():
@@ -109,12 +106,12 @@ def _apply_config_file(parser, args):
     if not isinstance(doc, dict):
         raise CommandLineError("config file must contain a JSON object")
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in sub.choices[args.command]._actions}
+    # The keys are the subcommand's own options, less --help and --config.
+    actions = {a.dest: a for a in sub.choices[args.command]._actions
+               if a.option_strings and a.dest not in ("help", "config")}
     for key, value in doc.items():
-        if key not in _CONFIG_KEYS:
+        if key not in actions:
             raise CommandLineError(f"unknown config key {key!r}")
-        if key == "method" and args.command != "max-entry":
-            raise CommandLineError("config key 'method' only applies to max-entry")
         _config_value(actions[key], key, value)
         setattr(args, key, value)
 
@@ -139,11 +136,7 @@ def _configure(args):
             termination=_termination(args, None),
         )
         return partial(EXPERIMENTS[args.command], cfg)
-    reduction = ReductionConfig(
-        epsilon=args.epsilon if args.epsilon is not None else 1e-6,
-        norm=args.norm if args.norm is not None else "frobenius",
-        algorithm=args.algorithm if args.algorithm is not None else "id",
-    )
+    reduction = _reduction(args, "frobenius")
     if args.command == "reduce":
         return partial(reduce_file, args.input, reduction, args.out)
     search = MaxEntrySearchConfig(

@@ -145,28 +145,6 @@ class MaxEntryTrace:
     def final_rank(self):
         return self.records[-1].rank if self.records else 0
 
-    def to_json_dict(self):
-        return {
-            "method": self.method,
-            "iterations": self.iterations,
-            "flags": list(self.flags),
-            "records": [
-                {
-                    "k": rec.k,
-                    "rank": rec.rank,
-                    "lambda": None if np.isnan(rec.lam) else rec.lam,
-                    "term_maxima": [float(v) for v in rec.term_maxima],
-                    "wall_time": rec.wall_time,
-                    "reduction_tolerance_met": rec.reduction_tolerance_met,
-                }
-                for rec in self.records
-            ],
-            "candidates": [
-                {"index": [i + 1 for i in c.index], "value": c.value}
-                for c in self.candidates
-            ],
-        }
-
     def to_csv(self):
         """Iteration table: one row per k, per-term maxima padded to the
         widest rank seen (the layout used for the convergence figures)."""

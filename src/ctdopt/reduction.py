@@ -150,19 +150,17 @@ class RankOneApprox:
                    validate=False)
 
 
-def norm_of_difference(U, V, norm="frobenius", goal=None):
+def norm_of_difference(U, V, norm="frobenius"):
     """||U - V|| without forming the difference, where possible.
 
     The Frobenius case expands <U-V, U-V> into inner products of the factored
     forms; the s-norm case runs the rank-one fit on the concatenated
-    difference CTD.  With a ``goal``, the s-norm fit stops as soon as its
-    lower bound exceeds it (see :func:`rank_one_approx`), so a result above
-    ``goal`` may be an underestimate; one at or below it is not affected.
+    difference CTD.
     """
     if norm == "frobenius":
         return _frobenius_difference(U, V, inner(U, U))
     if norm == "snorm":
-        return rank_one_approx(add(U, scale(V, -1.0)), goal=goal).svalue
+        return rank_one_approx(add(U, scale(V, -1.0))).svalue
     raise ValueError(f"norm must be one of {_NORMS}")
 
 
@@ -460,6 +458,28 @@ def _candidate_ranks(r_in, cap):
     return ranks
 
 
+def _result(U, cfg, algorithm, norm_target, accepted, best=None, sweeps=0,
+            fallback=False):
+    """The :class:`ReductionResult` of a search on U.
+
+    It holds the search's ``accepted`` (error, V); else, under a ``max_rank``
+    cap below rank(U), the least-error candidate ``best`` (error, V), or zero
+    if there is none, flagged as not met; else U itself, renormalized.  The
+    errors are absolute, in the configured norm, and are reported relative
+    to ``norm_target``.
+    """
+    met = True
+    if accepted is not None:
+        err, V = accepted
+    elif cfg.max_rank is not None and cfg.max_rank < U.rank:
+        err, V = best if best is not None else (norm_target, zero_ctd(U.modes))
+        met = False
+    else:
+        err, V = 0.0, renormalize(U)
+    return ReductionResult(V, err / max(norm_target, 1e-300), sweeps, met,
+                           algorithm, cfg.norm, fallback_to_als=fallback)
+
+
 def _als_reduce(U, cfg, fallback=False):
     """ALS reduction: fit candidate ranks 1, 2, 4, ... until one meets the
     tolerance, then bisect down to the smallest rank that does.
@@ -473,8 +493,7 @@ def _als_reduce(U, cfg, fallback=False):
     """
     uu = inner(U, U)
     if _root(uu) <= 1e-300:
-        return ReductionResult(zero_ctd(U.modes), 0.0, 0, True, "als", cfg.norm,
-                               fallback_to_als=fallback)
+        return _result(U, cfg, "als", 0.0, (0.0, zero_ctd(U.modes)), fallback=fallback)
     norm_target = _root(uu) if cfg.norm == "frobenius" else s_norm(U)
     goal = cfg.epsilon * norm_target
     order = _distinct_term_order(U)
@@ -482,7 +501,7 @@ def _als_reduce(U, cfg, fallback=False):
     if cfg.norm == "frobenius" and cfg.max_rank is None and U.rank > 1:
         floor = _rank_floor(U)
     total_sweeps = 0
-    best = None  # (rel_error_estimate, ctd) under a max_rank cap
+    best = None  # the least-error (error, V) under a max_rank cap
 
     def try_rank(r):
         """(error, V) of the fit at rank r, or None if the floor rules r out."""
@@ -498,45 +517,29 @@ def _als_reduce(U, cfg, fallback=False):
         err = fro_res
         if err > goal and cfg.norm == "snorm":
             err = norm_of_difference(U, V, "snorm")
-        if best is None or err < best[0]:
+        if cfg.max_rank is not None and (best is None or err < best[0]):
             best = (err, V)
         return err, V
 
     # Binary ascent: double the candidate rank until the tolerance is met,
     # then bisect between the last failure and the first success so exactly
     # dependent inputs land on their minimal rank.
-    success = None
-    last_fail = 0
+    accepted = None
+    lo = 0
     for r in _candidate_ranks(U.rank, cfg.max_rank):
         fit = try_rank(r)
         if fit is not None and fit[0] <= goal:
-            success = (r, *fit)
+            accepted, hi = fit, r
             break
-        last_fail = r
-    if success is not None:
-        hi, err, V = success
-        lo = last_fail
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            fit = try_rank(mid)
-            if fit is not None and fit[0] <= goal:
-                hi, (err, V) = mid, fit
-            else:
-                lo = mid
-        return ReductionResult(
-            V, err / max(norm_target, 1e-300), total_sweeps, True,
-            "als", cfg.norm, fallback_to_als=fallback,
-        )
-    if cfg.max_rank is not None and cfg.max_rank < U.rank:
-        err, V = best if best is not None else (norm_target, zero_ctd(U.modes))
-        return ReductionResult(
-            V, err / max(norm_target, 1e-300), total_sweeps, False,
-            "als", cfg.norm, fallback_to_als=fallback,
-        )
-    return ReductionResult(
-        renormalize(U), 0.0, total_sweeps, True, "als", cfg.norm,
-        fallback_to_als=fallback,
-    )
+        lo = r
+    while accepted is not None and hi - lo > 1:
+        mid = (lo + hi) // 2
+        fit = try_rank(mid)
+        if fit is not None and fit[0] <= goal:
+            accepted, hi = fit, mid
+        else:
+            lo = mid
+    return _result(U, cfg, "als", norm_target, accepted, best, total_sweeps, fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +643,7 @@ def _skeleton_ctd_from_cols(U, C, pivots, k):
     S = pivots[:k]
     b = C[:, :k].sum(axis=0)
     c, *_ = np.linalg.lstsq(C[S, :k], b, rcond=None)
-    factors = [np.array(F[:, S]) for F in U.factors]
+    factors = [F[:, S] for F in U.factors]
     return _normalized(c * U.svalues[S], factors), c
 
 
@@ -685,15 +688,13 @@ def interpolative_reduce(U, cfg):
     errors are lower bounds, and so is the ``rel_error`` reported with a
     capped result.
     """
-    if U.rank == 0:
-        return ReductionResult(U, 0.0, 0, True, "id", cfg.norm)
     if cfg.norm == "frobenius":
         uu = inner(U, U)
         norm_target = _root(uu)
     else:
         norm_target = s_norm(U)
     if norm_target <= 1e-300:
-        return ReductionResult(zero_ctd(U.modes), 0.0, 0, True, "id", cfg.norm)
+        return _result(U, cfg, "id", 0.0, (0.0, zero_ctd(U.modes)))
     goal = cfg.epsilon * norm_target
     # The skeleton search below accepts at the first k whose Cholesky
     # estimate meets this, so no later pivot is read.
@@ -706,7 +707,7 @@ def interpolative_reduce(U, cfg):
     while k0 < len(pivots) and remaining[k0 - 1] > mass_goal:
         k0 += 1
     cap = len(pivots) if cfg.max_rank is None else min(len(pivots), cfg.max_rank)
-    best = None
+    accepted = best = None
     for k in range(min(k0, cap), cap + 1):
         if k >= U.rank:
             break
@@ -715,27 +716,25 @@ def interpolative_reduce(U, cfg):
         # residual energies.  The squared Frobenius residual of the
         # least-squares fit is the energy of their sum, up to r - k times
         # more, so the mass is an estimate of the error, not a bound on it.
-        # It costs nothing, so it is checked first, with a tenfold margin.
-        # It is also the only check for sharply dependent terms: measuring the
-        # difference of two nearly equal CTDs cancels, so the computed norm
-        # cannot fall much below sqrt(machine eps) times the input norm, no
-        # matter how good the skeleton is.
-        cert = np.sqrt(max(remaining[k - 1], 0.0))
-        if cert <= cert_goal:
-            return ReductionResult(V, cert / norm_target, 0, True, "id", cfg.norm)
-        if cfg.norm == "frobenius":
-            err = _frobenius_difference(U, V, uu)
-        else:
-            err = rank_one_approx(_skeleton_residual(U, pivots[:k], c),
-                                  goal=goal).svalue
+        # It costs nothing, so it is taken as the error when it meets the
+        # goal with a tenfold margin, and measured otherwise.  It is also the
+        # only check for sharply dependent terms: measuring the difference of
+        # two nearly equal CTDs cancels, so the computed norm cannot fall
+        # much below sqrt(machine eps) times the input norm, no matter how
+        # good the skeleton is.
+        err = np.sqrt(max(remaining[k - 1], 0.0))
+        if err > cert_goal:
+            if cfg.norm == "frobenius":
+                err = _frobenius_difference(U, V, uu)
+            else:
+                err = rank_one_approx(_skeleton_residual(U, pivots[:k], c),
+                                      goal=goal).svalue
         if err <= goal:
-            return ReductionResult(V, err / norm_target, 0, True, "id", cfg.norm)
-        if best is None or err < best[0]:
+            accepted = (err, V)
+            break
+        if cfg.max_rank is not None and (best is None or err < best[0]):
             best = (err, V)
-    if cfg.max_rank is not None and cfg.max_rank < U.rank:
-        err, V = best if best is not None else (norm_target, zero_ctd(U.modes))
-        return ReductionResult(V, err / norm_target, 0, False, "id", cfg.norm)
-    return ReductionResult(renormalize(U), 0.0, 0, True, "id", cfg.norm)
+    return _result(U, cfg, "id", norm_target, accepted, best)
 
 
 def reduce(U, cfg):
@@ -754,9 +753,8 @@ def reduce(U, cfg):
             "certifiable in double precision; consider norm='snorm'",
             stacklevel=2,
         )
-    if U.rank == 0:
-        return ReductionResult(U, 0.0, 0, True, cfg.algorithm, cfg.norm)
-    # Both paths catch a zero input inside, from the norm they form anyway.
+    # Both paths catch a zero input, rank 0 included, from the norm they
+    # form anyway.
     if cfg.algorithm == "id":
         return interpolative_reduce(U, cfg)
     return _als_reduce(U, cfg)

@@ -26,8 +26,7 @@ import numpy as np
 
 from .ctd import eval_entry
 from .ctd import _normalized as _normalized_ctd
-from .maxentry import MaxEntrySearchConfig, squaring_max
-from .reduction import reduce
+from .maxentry import _apply_reduction, squaring_max
 
 __all__ = [
     "AckleyParams",
@@ -540,11 +539,7 @@ def optimize_function(f, grid, search, exact=None):
     near the winning grid point stays within its first reach.
     """
     U0 = sample_to_ctd(f, grid)
-    if search.reduction is not None:
-        res = reduce(U0, search.reduction)
-        U, tol_met = res.ctd, res.tolerance_met
-    else:
-        U, tol_met = U0, True
+    U, tol_met = _apply_reduction(U0, search.reduction)
     trace = squaring_max(U, search)
 
     rescored = [(c.index, eval_entry(U0, c.index)) for c in trace.candidates]

@@ -348,22 +348,6 @@ class TestTraceOutput:
         width = len(header)
         assert all(len(r) == width for r in body)
 
-    def test_json_dict_round_trip_fields(self, rng):
-        U, locs = background_plus_spike(3, 4, 2, rng, spike_to=5.0)
-        trace = squaring_max(U, id_config(1e-6, RankThreshold(1)))
-        doc = trace.to_json_dict()
-        assert doc["method"] == "squaring"
-        assert doc["iterations"] == trace.iterations
-        assert len(doc["records"]) == len(trace.records)
-        assert doc["records"][0]["lambda"] == pytest.approx(trace.records[0].lam)
-        one_based = [i + 1 for i in locs[0]]
-        assert doc["candidates"][0]["index"] == one_based
-
-    def test_power_json_initial_lambda_is_null(self, rng):
-        U = random_signed_ctd((3, 3), 2, rng)
-        trace = power_method_max(U, exact_config(FixedIterations(1)))
-        assert trace.to_json_dict()["records"][0]["lambda"] is None
-
     def test_reduction_shortfall_recorded(self, rng):
         # a rank cap the tolerance cannot survive must show up in the record
         U, _ = background_plus_spike(3, 5, 2, rng, spike_to=4.0, n_spikes=2)

@@ -109,6 +109,37 @@ class TestReduceContract:
         res = reduce(Z, ReductionConfig(epsilon=1e-6))
         assert res.rank == 0 and res.tolerance_met
 
+    @pytest.mark.parametrize("norm", ["frobenius", "snorm"])
+    @pytest.mark.parametrize("algorithm", ["id", "als"])
+    @pytest.mark.parametrize("case", ["rank zero", "incompressible"])
+    def test_exits_without_a_smaller_rank(self, rng, case, algorithm, norm):
+        # A rank-0 input leaves by the zero-norm exit.  A generic rank-3
+        # matrix is 1e-6 from no rank-2 one, so its search accepts nothing
+        # and the input comes back renormalized.
+        if case == "rank zero":
+            U, rank = zero_ctd((3, 4, 5)), 0
+        else:
+            U, rank = random_signed_ctd((6, 6), 3, rng), 3
+        res = reduce(U, ReductionConfig(epsilon=1e-6, norm=norm, algorithm=algorithm))
+        assert res.rank == rank
+        assert res.rel_error == 0.0
+        assert res.tolerance_met is True
+        assert res.algorithm == algorithm
+        assert res.norm == norm
+        assert res.fallback_to_als is False
+        if rank:
+            assert dense_rel_error(U, res.ctd) <= 1e-13
+
+    def test_indefinite_fallback_reports_als(self, rng, monkeypatch):
+        U = random_signed_ctd((4, 4), 3, rng)
+        bad = np.array(reduction_mod._gram_diag(U))
+        bad[0] = -1.0  # force an indefinite diagonal
+        monkeypatch.setattr(reduction_mod, "_gram_diag", lambda _: bad)
+        res = reduce(U, ReductionConfig(epsilon=1e-6, algorithm="id"))
+        assert res.fallback_to_als is True
+        assert res.algorithm == "als"
+        assert res.tolerance_met
+
     def test_frobenius_small_epsilon_warns(self, rng):
         U = random_signed_ctd((4, 4), 2, rng)
         with pytest.warns(UserWarning, match="double precision"):
