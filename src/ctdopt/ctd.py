@@ -147,18 +147,20 @@ def _normalized(svalues, factors):
 
     Column norms are folded into the s-values, a negative resulting weight has
     its sign absorbed into the first-dimension column, and terms whose weight
-    or column norm underflows ``1e-300`` are dropped.
+    or column norm underflows ``1e-300`` are dropped.  ``factors`` may be any
+    iterable; given a generator of fresh arrays, each is released once it is
+    divided, so no two copies of all the factors are alive at once.
     """
     svalues = np.asarray(svalues, dtype=float).copy()
     r = svalues.shape[0]
     if r == 0:
         return CTD(svalues, [np.array(F, dtype=float) for F in factors], validate=False)
-    # Not copied: each factor is divided into a new array below.
-    factors = [np.asarray(F, dtype=float) for F in factors]
     keep = np.abs(svalues) > _DROP_THRESHOLD
     total = np.abs(svalues)
     unit = []
     for F in factors:
+        # Not copied: each factor is divided into a new array below.
+        F = np.asarray(F, dtype=float)
         norms = np.linalg.norm(F, axis=0)
         keep &= norms > _DROP_THRESHOLD
         safe = np.where(norms > _DROP_THRESHOLD, norms, 1.0)
@@ -234,10 +236,18 @@ def inner(U, V):
     _check_same_shape(U, V)
     if U.rank == 0 or V.rank == 0:
         return 0.0
+    return float(U.svalues @ _cross_gram(U, V) @ V.svalues)
+
+
+def _cross_gram(U, V):
+    """The r_u x r_v matrix of unweighted term inner products
+    prod_j <u_j^(a), v_j^(b)>: one cross-Gram per dimension, multiplied
+    elementwise in dimension order.  :func:`inner` weights it by the
+    s-values."""
     G = np.ones((U.rank, V.rank))
     for Fu, Fv in zip(U.factors, V.factors):
         G *= Fu.T @ Fv
-    return float(U.svalues @ G @ V.svalues)
+    return G
 
 
 def frobenius_norm(U):

@@ -8,7 +8,9 @@ Two algorithms sit behind one entry point, :func:`reduce`:
 * an interpolative variant (``"id"``): pick a skeleton of existing terms by
   pivoted Cholesky on the term Gram matrix and least-squares refit the
   weights.  This keeps original factor columns untouched and is the cheaper
-  route when the input terms are nearly dependent.  The Gram matrix is never
+  route when the input terms are nearly dependent.  In the Frobenius norm
+  the Gram matrix is formed once, with <U, U>, and the factorization tracks
+  the exact residual of the refit on its pivots; in the s-norm it is never
   formed: the factorization reads its diagonal and fetches the column of
   each pivot, so its cost grows with the skeleton size, not with the square
   of the input rank.
@@ -25,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ctd import CTD, _normalized, add, inner, renormalize, scale, zero_ctd
+from .ctd import (CTD, _cross_gram, _normalized, add, inner, renormalize, scale,
+                  zero_ctd)
 
 __all__ = [
     "ReductionConfig",
@@ -42,6 +45,7 @@ __all__ = [
 _NORMS = ("frobenius", "snorm")
 _ALGORITHMS = ("als", "id")
 _ALS_MAX_SWEEPS = 200  # sweep budget per candidate rank
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -85,19 +89,24 @@ class ReductionConfig:
 class ReductionResult:
     """A reduced CTD plus how it was obtained.
 
-    ``rel_error`` is the error relative to the input.  It is measured in the
-    configured norm, except where the interpolative path accepts a skeleton
-    on its Cholesky estimate without a measurement: then it is that
+    ``rel_error`` is the error relative to the input, in the configured
+    norm.  In the Frobenius norm it is the residual of the returned fit: for
+    ALS the expanded <U-V, U-V>, for the interpolative path the exact
+    residual of the skeleton's least-squares refit, ||U||^2 - ||P_S U||^2,
+    from its Cholesky factor (0 when the remaining terms lie in the
+    skeleton's span to working precision).  Both are differences of inner
+    products, so they resolve errors only down to about sqrt(machine eps)
+    relative.  In the s-norm the interpolative path may accept a skeleton on
+    its Cholesky estimate without a measurement: then ``rel_error`` is that
     estimate, the square root of the unselected Cholesky mass.  That mass
     is the sum of the unselected terms' residual energies, while the
-    Frobenius residual of the least-squares refit is the norm of the sum of
-    those residuals, which can be up to sqrt(r - k) times larger for r
-    input terms and a skeleton of k.  So the estimate bounds neither the
-    Frobenius nor the s-norm error.  A measured s-norm ``rel_error`` is the
-    weight of a single-start rank-one fit, a lower bound on the s-norm of
-    the difference; the interpolative path measures it on the input's own
-    terms (see :func:`interpolative_reduce`), ALS on the concatenated
-    difference.
+    residual of the refit is the norm of the sum of those residuals, which
+    can be up to sqrt(r - k) times larger for r input terms and a skeleton
+    of k.  So the estimate does not bound the s-norm error.  A measured
+    s-norm ``rel_error`` is the weight of a single-start rank-one fit, a
+    lower bound on the s-norm of the difference; the interpolative path
+    measures it on the input's own terms (see
+    :func:`interpolative_reduce`), ALS on the concatenated difference.
 
     ``sweeps`` counts the ALS sweeps of the candidate ranks that were
     fitted; a rank ALS skips unfitted adds none, and the interpolative path
@@ -158,7 +167,7 @@ def norm_of_difference(U, V, norm="frobenius"):
     difference CTD.
     """
     if norm == "frobenius":
-        return _frobenius_difference(U, V, inner(U, U))
+        return _root(inner(U, U) - 2.0 * inner(U, V) + inner(V, V))
     if norm == "snorm":
         return rank_one_approx(add(U, scale(V, -1.0))).svalue
     raise ValueError(f"norm must be one of {_NORMS}")
@@ -168,12 +177,6 @@ def _root(sq):
     """Square root of a squared norm formed from inner products, clamped at
     zero against cancellation, as :func:`~ctdopt.ctd.frobenius_norm` does."""
     return float(np.sqrt(max(sq, 0.0)))
-
-
-def _frobenius_difference(U, V, uu):
-    """||U - V||_F from <U-V, U-V> expanded, given ``uu`` = <U, U>, so a
-    caller measuring many V against one U forms <U, U> once."""
-    return _root(uu - 2.0 * inner(U, V) + inner(V, V))
 
 
 # ---------------------------------------------------------------------------
@@ -561,31 +564,50 @@ def _gram_column(U, p):
     return col * (U.svalues * U.svalues[p])
 
 
-def _pivoted_cholesky_lazy(U, bound=None):
-    """Diagonal-pivoted Cholesky of U's term Gram matrix, which it never
-    forms: it starts from the diagonal and fetches a Gram column only when
-    that column is pivoted, so the cost scales with the skeleton size times
-    r rather than with r^2.  It is the only Cholesky here and keeps its
-    ``_lazy`` name because ``perfbench/tracer.py`` counts its calls under
-    that name.
+def _pivoted_cholesky_lazy(U, bound=None, gram=None, uu=None, max_pivots=None):
+    """Diagonal-pivoted Cholesky of U's term Gram matrix.  It starts from
+    the diagonal (:func:`_gram_diag`) and reads the Gram column of a pivot
+    only when that column is pivoted.  It is the only Cholesky here and
+    keeps its ``_lazy`` name because ``perfbench/tracer.py`` counts its calls
+    under that name.
 
-    Returns (pivots, L, C, remaining, indefinite): ``C[:, k]`` is the fetched
-    Gram column of the k-th pivot, for the skeleton refit; ``remaining[k]``
-    is the sum of the updated diagonal over unselected indices after
-    eliminating that pivot, and ``L[:, :k]`` reproduces the Gram on the
-    pivot block exactly.  Ties in the pivot choice resolve to the lowest
-    index.  ``indefinite`` flags an updated diagonal dipping below the
-    negative roundoff band.
+    Returns (pivots, L, C, remaining, indefinite): ``C[:, k]`` is the Gram
+    column of the k-th pivot, for the skeleton refit, and ``L[:, :k]``
+    reproduces the Gram on the pivot block exactly.  Ties in the pivot
+    choice resolve to the lowest index.  ``indefinite`` flags an updated
+    diagonal dipping below the negative roundoff band.
+
+    Without a ``gram`` the matrix is never formed: each pivot's column is
+    fetched from the factors, so the cost scales with the skeleton size
+    times r rather than with r^2, and ``remaining[k]`` is the sum of the
+    updated diagonal over unselected indices after eliminating pivot k.
+
+    With ``gram``, the unweighted term Gram (:func:`~ctdopt.ctd._cross_gram`
+    of U with itself), and ``uu`` = <U, U> formed from it, the columns are
+    read from that matrix, and ``remaining[k]`` is
+    ``uu - sum_{i <= k} (1^T L[:, i])^2``: L[:, :k+1] L[:, :k+1]^T is the
+    Gram projected onto the first k+1 pivots, so this is the squared
+    Frobenius residual of the least-squares refit of U on those terms.  A
+    diagonal exhausted after k pivots leaves nothing outside their span
+    beyond roundoff, so ``remaining[k-1]`` is then set to 0.  Here the
+    diagonal counts as exhausted also when every unselected entry is at most
+    8 (k + 1) eps times its initial value: each is that value less k
+    squares whose sum is at most that value, so this is their rounding, and
+    every unselected term lies in the skeleton's span to working precision.
+    ``max_pivots`` caps the number of pivots.
 
     Without a ``bound`` it factors until the diagonal is exhausted.  With one
-    it stops after the first pivot k whose certificate
-    ``sqrt(max(remaining[k], 0))`` is at most ``bound``; the output is then
-    a bitwise prefix of the full factorization.  Past that point the
-    unselected mass is roundoff, which can dip below the negative band of a
-    PSD Gram and would flag it as indefinite.
+    it stops after the first pivot k with ``sqrt(max(remaining[k], 0))`` at
+    most ``bound``; the output is then a bitwise prefix of the full
+    factorization.  Past that point the unselected mass is roundoff, which
+    can dip below the negative band of a PSD Gram and would flag it as
+    indefinite.
     """
     r = U.rank
     d = _gram_diag(U)
+    if gram is not None:
+        d0 = d.copy()
+        d0_max = float(d0.max(initial=0.0))
     tol_neg = -1e-10 * max(float(d.max(initial=0.0)), 1e-300)
     cap = 64
     L = np.zeros((r, cap))
@@ -594,24 +616,37 @@ def _pivoted_cholesky_lazy(U, bound=None):
     remaining = np.zeros(r)
     active = np.ones(r, dtype=bool)
     indefinite = False
-    steps = 0
+    proj = 0.0
+    steps_taken = 0
     for k in range(r):
         dm = np.where(active, d, -np.inf)
         p = int(np.argmax(dm))
         if d[p] < tol_neg:
             indefinite = True
             break
-        if d[p] <= 0.0:
-            # exhausted: what is left is numerically zero mass
+        exhausted = d[p] <= 0.0
+        tau = 8 * (k + 1) * _EPS
+        if gram is not None and not exhausted and d[p] <= tau * d0_max:
+            # d[p] is the largest unselected entry, so the test above is
+            # necessary for this one and spares its cost at most pivots
+            exhausted = bool(np.all(d[active] <= tau * d0[active]))
+        if exhausted:
+            # what is left is numerically zero mass
             remaining[k:] = 0.0
-            steps = k
+            if gram is not None and k:
+                remaining[k - 1] = 0.0
+            break
+        if k == max_pivots:
             break
         if k == cap:
             grow = cap
             cap *= 2
             L = np.concatenate([L, np.zeros((r, grow))], axis=1)
             C = np.concatenate([C, np.zeros((r, grow))], axis=1)
-        col = _gram_column(U, p)
+        if gram is None:
+            col = _gram_column(U, p)
+        else:
+            col = gram[p] * (U.svalues * U.svalues[p])  # gram is symmetric
         pivots[k] = p
         lk = (col - L[:, :k] @ L[p, :k]) / np.sqrt(d[p])
         lk[~active] = 0.0
@@ -624,17 +659,22 @@ def _pivoted_cholesky_lazy(U, bound=None):
         if np.min(d[active], initial=0.0) < tol_neg:
             indefinite = True
             break
-        remaining[k] = float(np.sum(d[active], initial=0.0))
-        steps = k + 1
+        if gram is None:
+            remaining[k] = float(np.sum(d[active], initial=0.0))
+        else:
+            proj += float(np.sum(lk)) ** 2
+            remaining[k] = uu - proj
+        steps_taken = k + 1
         if bound is not None and np.sqrt(max(remaining[k], 0.0)) <= bound:
             break
-    return pivots[:steps], L[:, :steps], C[:, :steps], remaining[:steps], indefinite
+    return (pivots[:steps_taken], L[:, :steps_taken], C[:, :steps_taken],
+            remaining[:steps_taken], indefinite)
 
 
-def _skeleton_ctd_from_cols(U, C, pivots, k):
-    """Least-squares refit of U onto the terms ``pivots[:k]``, from the
-    fetched Gram columns ``C``; returns (V, c), where V's term for pivot i
-    is c_i s_i u_i.
+def _skeleton_coefficients(C, pivots, k):
+    """Least-squares refit weights c of U onto its terms ``pivots[:k]``,
+    from the Gram columns ``C``: the skeleton term for pivot i is then
+    c_i s_i u_i.
 
     The weights solve the normal equations G_SS c = G_S 1 by a least-squares
     solve on the skeleton's Gram block G_SS.  Both sides are read from the
@@ -643,8 +683,17 @@ def _skeleton_ctd_from_cols(U, C, pivots, k):
     S = pivots[:k]
     b = C[:, :k].sum(axis=0)
     c, *_ = np.linalg.lstsq(C[S, :k], b, rcond=None)
-    factors = [F[:, S] for F in U.factors]
-    return _normalized(c * U.svalues[S], factors), c
+    return c
+
+
+def _skeleton_ctd_from_cols(U, C, pivots, k):
+    """The refit of U onto ``pivots[:k]`` (:func:`_skeleton_coefficients`)
+    as a CTD; returns (V, c).  The skeleton's columns are gathered one
+    dimension at a time, so only one dimension's gathered copy is alive next
+    to the result."""
+    S = pivots[:k]
+    c = _skeleton_coefficients(C, pivots, k)
+    return _normalized(c * U.svalues[S], (F[:, S] for F in U.factors)), c
 
 
 def _skeleton_residual(U, S, c):
@@ -665,43 +714,100 @@ def _skeleton_residual(U, S, c):
 def interpolative_reduce(U, cfg):
     """Skeleton-based reduction via pivoted Cholesky on the term Gram matrix.
 
-    The search starts at the first skeleton whose unselected diagonal mass
-    is at most (epsilon * ||U||)^2 and least-squares refits its weights.  A
-    skeleton whose unselected mass meets the tolerance with a tenfold
-    margin is accepted as it is, on that estimate (see
-    :class:`ReductionResult` for why it is not a bound); otherwise the
-    actual error is measured in the configured norm, and the skeleton grows
-    further if it still exceeds the tolerance.  The Cholesky stops at that
-    estimate, because no skeleton past it is ever built, and it fetches only
-    the Gram columns it pivots on, so the r x r term Gram is never formed,
-    at any rank or in either norm.  An indefinite Gram matrix falls back to
-    the ALS path with a warning flag.  In the Frobenius norm, <U, U> is
-    formed once and gives both ||U|| and every measurement.
+    In the Frobenius norm the unweighted term Gram is formed once, and
+    <U, U> from it as :func:`~ctdopt.ctd.inner` forms it.  The Cholesky
+    reads its pivot columns from that matrix and tracks the exact squared
+    residual of the least-squares refit on its pivots so far, ||U||^2 -
+    ||P_S U||^2 (the Nystrom identity ||P_S U||^2 = ||L^T 1||^2, see
+    :func:`_pivoted_cholesky_lazy`).  It stops at the first skeleton whose
+    residual meets the tolerance, or at the ``max_rank`` cap, or when its
+    diagonal is exhausted, which accepts too: exactly dependent terms leave
+    a residual of roundoff.  That skeleton is refit once, and ``rel_error``
+    is its residual, relative to ||U||.  Because the residual falls as the
+    skeleton grows, a capped search keeps the largest skeleton within the
+    cap.  The residual is a difference of two sums of size ||U||^2, so it is
+    exact only down to about sqrt(machine eps) relative.
 
-    The s-norm error of a skeleton is measured on the input's own terms
-    (:func:`_skeleton_residual`): the skeleton's terms are input terms, so
-    U - V is U with the weights s_i - c_i s_i on the skeleton, where c is
-    the refit's solution, and a measurement holds no second copy of U.
+    In the s-norm the Gram matrix is never formed: the Cholesky fetches only
+    the Gram columns it pivots on, so its cost scales with the skeleton size
+    times r.  The search starts at the first skeleton whose unselected
+    diagonal mass is at most (epsilon * ||U||_s)^2.  A skeleton whose
+    unselected mass meets the tolerance with a tenfold margin is accepted
+    on that estimate (see :class:`ReductionResult` for why it is not a
+    bound); otherwise its error is measured, and the skeleton grows further
+    if it still exceeds the tolerance.  The Cholesky stops at that estimate,
+    because no skeleton past it is ever tried.  The error is measured on the
+    input's own terms (:func:`_skeleton_residual`): the skeleton's terms are
+    input terms, so U - V is U with the weights s_i - c_i s_i on the
+    skeleton, where c is the refit's solution, and a measurement holds no
+    second copy of U.  Under a ``max_rank`` cap the best skeleton is chosen
+    by measured error.  A measurement stops once it exceeds the goal, so
+    these errors are lower bounds, and so is the ``rel_error`` reported
+    with a capped result.
 
-    Under a ``max_rank`` cap the best skeleton is chosen by measured error.
-    An s-norm measurement stops once it exceeds the goal, so there these
-    errors are lower bounds, and so is the ``rel_error`` reported with a
-    capped result.
+    In both norms only the returned skeleton is built as a CTD, and an
+    indefinite Gram matrix falls back to the ALS path with a warning flag.
     """
     if cfg.norm == "frobenius":
-        uu = inner(U, U)
+        G = _cross_gram(U, U)
+        uu = float(U.svalues @ G @ U.svalues)
         norm_target = _root(uu)
     else:
         norm_target = s_norm(U)
     if norm_target <= 1e-300:
         return _result(U, cfg, "id", 0.0, (0.0, zero_ctd(U.modes)))
     goal = cfg.epsilon * norm_target
-    # The skeleton search below accepts at the first k whose Cholesky
-    # estimate meets this, so no later pivot is read.
+    if cfg.norm == "frobenius":
+        search = _frobenius_skeleton(U, cfg, goal, G, uu)
+        del G  # r x r, released before the skeleton is built
+    else:
+        search = _snorm_skeleton(U, cfg, goal)
+    if search is None:
+        return _als_reduce(U, cfg, fallback=True)
+    pivots, C, accepted, best = search
+
+    def built(found):
+        """(error, V) for a skeleton (error, k) of the search."""
+        if found is None:
+            return None
+        return found[0], _skeleton_ctd_from_cols(U, C, pivots, found[1])[0]
+
+    capped = cfg.max_rank is not None and cfg.max_rank < U.rank
+    return _result(U, cfg, "id", norm_target, built(accepted),
+                   built(best) if accepted is None and capped else None)
+
+
+def _frobenius_skeleton(U, cfg, goal, G, uu):
+    """The Frobenius skeleton search of :func:`interpolative_reduce`, on the
+    unweighted term Gram ``G`` and ``uu`` = <U, U>.
+
+    Returns None for an indefinite Gram, else (pivots, C, accepted, best)
+    with each of the last two a skeleton (error, k) or None.
+    """
+    cap = U.rank - 1 if cfg.max_rank is None else min(U.rank - 1, cfg.max_rank)
+    pivots, _, C, residual, indefinite = _pivoted_cholesky_lazy(
+        U, goal, gram=G, uu=uu, max_pivots=cap)
+    if indefinite:
+        return None
+    if not len(pivots):
+        return pivots, C, None, None
+    found = (_root(residual[-1]), len(pivots))
+    return (pivots, C, found, None) if found[0] <= goal else (pivots, C, None, found)
+
+
+def _snorm_skeleton(U, cfg, goal):
+    """The s-norm skeleton search of :func:`interpolative_reduce`.
+
+    Returns None for an indefinite Gram, else (pivots, C, accepted, best)
+    with each of the last two a skeleton (error, k) or None; ``best`` is
+    kept only under a ``max_rank`` cap.
+    """
+    # The search accepts at the first k whose Cholesky estimate meets this,
+    # so no later pivot is read.
     cert_goal = 0.1 * goal
     pivots, _, C, remaining, indefinite = _pivoted_cholesky_lazy(U, cert_goal)
     if indefinite:
-        return _als_reduce(U, cfg, fallback=True)
+        return None
     mass_goal = goal * goal
     k0 = 1
     while k0 < len(pivots) and remaining[k0 - 1] > mass_goal:
@@ -711,30 +817,24 @@ def interpolative_reduce(U, cfg):
     for k in range(min(k0, cap), cap + 1):
         if k >= U.rank:
             break
-        V, c = _skeleton_ctd_from_cols(U, C, pivots, k)
+        c = _skeleton_coefficients(C, pivots, k)
         # The unselected diagonal mass is the sum of the unselected terms'
         # residual energies.  The squared Frobenius residual of the
         # least-squares fit is the energy of their sum, up to r - k times
-        # more, so the mass is an estimate of the error, not a bound on it.
-        # It costs nothing, so it is taken as the error when it meets the
-        # goal with a tenfold margin, and measured otherwise.  It is also the
-        # only check for sharply dependent terms: measuring the difference of
-        # two nearly equal CTDs cancels, so the computed norm cannot fall
-        # much below sqrt(machine eps) times the input norm, no matter how
-        # good the skeleton is.
+        # more, and it bounds the s-norm error from above, so the mass is an
+        # estimate of the error, not a bound on it.  It costs nothing, so it
+        # is taken as the error when it meets the goal with a tenfold
+        # margin, and measured otherwise.
         err = np.sqrt(max(remaining[k - 1], 0.0))
         if err > cert_goal:
-            if cfg.norm == "frobenius":
-                err = _frobenius_difference(U, V, uu)
-            else:
-                err = rank_one_approx(_skeleton_residual(U, pivots[:k], c),
-                                      goal=goal).svalue
+            err = rank_one_approx(_skeleton_residual(U, pivots[:k], c),
+                                  goal=goal).svalue
         if err <= goal:
-            accepted = (err, V)
+            accepted = (err, k)
             break
         if cfg.max_rank is not None and (best is None or err < best[0]):
-            best = (err, V)
-    return _result(U, cfg, "id", norm_target, accepted, best)
+            best = (err, k)
+    return pivots, C, accepted, best
 
 
 def reduce(U, cfg):

@@ -25,6 +25,7 @@ from ctdopt import (
     zero_ctd,
 )
 from ctdopt import reduction as reduction_mod
+from ctdopt.ctd import _cross_gram
 from ctdopt.reduction import RankOneApprox
 from ctdopt.experiments import background_instance, plant_spike
 from conftest import random_modes, random_signed_ctd
@@ -739,3 +740,113 @@ class TestReductionResult:
         assert meta["achieved_rank"] == res.rank
         assert meta["algorithm"] in ("id", "als")
         assert isinstance(meta["tolerance_met"], bool)
+
+
+def frobenius_allowance(U):
+    """Relative rounding allowance of a Frobenius residual formed as a
+    difference of inner products: the root of eps (d max M + r) (sum |s|)^2,
+    over ||U||_F.  Every Gram entry is a product of d factor inner products
+    of length up to max M, weighted by s-values whose products sum to at most
+    (sum |s|)^2 over the r terms, so that is the rounding of <U, U> and of
+    ||P_S U||^2; their difference is the squared residual."""
+    eps = np.finfo(float).eps
+    sq = eps * (U.ndim * max(U.modes) + U.rank) * float(np.sum(np.abs(U.svalues))) ** 2
+    return np.sqrt(sq) / np.linalg.norm(to_dense(U))
+
+
+def _dependent_ctd(seed, rank, modes, copies, noise):
+    """A random signed rank-``rank`` CTD whose terms repeat ``copies`` times
+    at other weights and signs, plus ``noise`` times a random rank-2 CTD.
+    With ``noise`` 0 it is exactly rank ``rank`` in the span of its terms,
+    because the mode sizes (3 or more) make ``rank`` <= 5 random terms
+    independent."""
+    rng = np.random.default_rng(seed)
+    W = random_signed_ctd(modes, rank, rng)
+    U = W
+    for c in rng.uniform(-2.0, 2.0, size=copies):
+        U = add(U, scale(W, c))
+    if noise:
+        U = add(U, scale(random_signed_ctd(modes, 2, rng), noise))
+    return U
+
+
+_dependent_args = (
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 5),
+    st.lists(st.integers(3, 5), min_size=2, max_size=4),
+    st.integers(1, 3),
+)
+
+
+def frobenius_id_pivots(U, epsilon):
+    """The pivots and Gram columns of the Frobenius ID search on U at
+    ``epsilon``, as :func:`interpolative_reduce` factors them."""
+    G = _cross_gram(U, U)
+    uu = float(U.svalues @ G @ U.svalues)
+    goal = epsilon * np.sqrt(uu)
+    pivots, _, C, _, indefinite = reduction_mod._pivoted_cholesky_lazy(
+        U, goal, gram=G, uu=uu, max_pivots=U.rank - 1)
+    assert not indefinite
+    return pivots, C
+
+
+class TestFrobeniusContract:
+    """The Frobenius ``reduce`` contract on dense tensors, for inputs whose
+    terms are dependent up to a chosen noise level."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(*_dependent_args, st.sampled_from([1e-9, 1e-6, 1e-4, 1e-2]),
+           st.sampled_from([1e-3, 1e-5, 1e-6]), st.sampled_from(["id", "als"]))
+    def test_met_means_dense_error_within_tolerance(self, seed, rank, modes, copies,
+                                                    noise, epsilon, algorithm):
+        U = _dependent_ctd(seed, rank, modes, copies, noise)
+        res = reduce(U, ReductionConfig(epsilon=epsilon, algorithm=algorithm))
+        assert res.tolerance_met
+        if res.rank < U.rank:
+            assert dense_rel_error(U, res.ctd) <= epsilon + frobenius_allowance(U)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(*_dependent_args, st.sampled_from([1e-9, 1e-6, 1e-4, 1e-2]),
+           st.sampled_from([1e-3, 1e-5, 1e-6]))
+    def test_id_error_is_the_refit_residual(self, seed, rank, modes, copies, noise,
+                                            epsilon):
+        # rel_error is the dense error of the returned skeleton, and the
+        # skeleton one pivot shorter misses the goal, both up to rounding.
+        U = _dependent_ctd(seed, rank, modes, copies, noise)
+        res = reduce(U, ReductionConfig(epsilon=epsilon, algorithm="id"))
+        allowance = frobenius_allowance(U)
+        assert abs(res.rel_error - dense_rel_error(U, res.ctd)) <= allowance
+        if res.rank == U.rank:
+            return
+        pivots, C = frobenius_id_pivots(U, epsilon)
+        k = res.rank
+        assert len(pivots) == k
+        if k > 1:
+            shorter, _ = reduction_mod._skeleton_ctd_from_cols(U, C, pivots, k - 1)
+            assert dense_rel_error(U, shorter) > epsilon - allowance
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(*_dependent_args, st.sampled_from([1e-6, 1e-8]))
+    def test_id_exact_rank_reduces_to_it(self, seed, rank, modes, copies, epsilon):
+        U = _dependent_ctd(seed, rank, modes, copies, 0.0)
+        res = reduce(U, ReductionConfig(epsilon=epsilon, algorithm="id"))
+        assert res.rank == rank
+        assert res.tolerance_met
+        assert dense_rel_error(U, res.ctd) <= epsilon
+
+    def test_many_small_residuals_are_refit_not_estimated(self):
+        # One spike plus 300 terms a little off its direction: their
+        # residuals are each small, but they add up.  The sum of their
+        # residual energies passed 7.4e-5 as the error of a rank-1 skeleton
+        # whose dense error is 1.27e-3; the refit's residual needs rank 2.
+        M, n = 4, 300
+        delta = 1e-3 * (1.0 + 0.5 * np.random.default_rng(0).random(n))
+        e1, e2 = np.eye(M)[:, 0], np.eye(M)[:, 1]
+        first = np.column_stack([e1] + [(e1 + t * e2) / np.linalg.norm(e1 + t * e2)
+                                        for t in delta])
+        rest = np.tile(e1[:, None], (1, n + 1))
+        U = CTD(np.r_[1.0, np.full(n, 0.99)], [first, rest, rest.copy()])
+        res = reduce(U, ReductionConfig(epsilon=1e-3, algorithm="id"))
+        assert res.tolerance_met
+        assert res.rank == 2
+        assert dense_rel_error(U, res.ctd) <= 1e-3
