@@ -10,7 +10,8 @@ Examples
     ctdopt reduce input.json --epsilon 1e-6 --norm snorm --algorithm id --out red
     ctdopt max-entry input.json --termination rank:1 --out located
 
-A ``--config FILE`` JSON object overrides any flag of the same name.  On
+Each command takes only the flags its run reads.  A ``--config FILE``
+JSON object overrides any of the command's flags of the same name.  On
 success the run's summary is printed to stdout as JSON and the exit code is
 0; on failure a one-line JSON error object goes to stderr and the exit code
 is nonzero (2 for usage errors, 1 otherwise).
@@ -19,6 +20,7 @@ is nonzero (2 for usage errors, 1 otherwise).
 import argparse
 import json
 import sys
+from dataclasses import fields
 from functools import partial
 
 from .experiments import (
@@ -45,30 +47,41 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    common.add_argument("--trials", type=int, default=100,
-                        help="trial count (compare only)")
-    common.add_argument("--epsilon", type=float, default=None,
-                        help="rank-reduction tolerance")
-    common.add_argument("--norm", choices=("frobenius", "snorm"), default=None,
-                        help="norm the tolerance is measured in")
-    common.add_argument("--algorithm", choices=("als", "id"), default=None,
-                        help="rank-reduction algorithm")
-    common.add_argument("--termination", default=None, metavar="RULE",
-                        help="fixed:N, lambda:DELTA, or rank:R")
-    common.add_argument("--out", default=".", metavar="DIR",
+    # Small parent parsers, one per group of settings.  --seed and --trials
+    # have no parser default, so ExperimentConfig's defaults hold.
+    seed, trials, reduction, termination, output = (
+        _Parser(add_help=False) for _ in range(5))
+    seed.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                      help="master RNG seed")
+    trials.add_argument("--trials", type=int, default=argparse.SUPPRESS,
+                        help="trial count")
+    reduction.add_argument("--epsilon", type=float, help="rank-reduction tolerance")
+    reduction.add_argument("--norm", choices=("frobenius", "snorm"),
+                           help="norm the tolerance is measured in")
+    reduction.add_argument("--algorithm", choices=("als", "id"),
+                           help="rank-reduction algorithm")
+    termination.add_argument("--termination", metavar="RULE",
+                             help="fixed:N, lambda:DELTA, or rank:R")
+    output.add_argument("--out", default=".", metavar="DIR",
                         help="artifact output directory")
-    common.add_argument("--config", default=None, metavar="FILE",
+    output.add_argument("--config", metavar="FILE",
                         help="JSON file whose entries override flags")
+    # Each command takes exactly the settings its run reads.
+    commands = {
+        "demo-convergence": [seed, reduction, termination],
+        "demo-two-maxima": [seed, reduction],
+        "compare": [seed, trials, reduction, termination],
+        "ackley": [reduction, termination],
+        "reduce": [reduction],
+        "max-entry": [reduction, termination],
+    }
 
     parser = _Parser(prog="ctdopt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-    for name in EXPERIMENTS:
-        sub.add_parser(name, parents=[common])
-    for name in ("reduce", "max-entry"):
-        p = sub.add_parser(name, parents=[common])
-        p.add_argument("input", help="serialized CTD file")
+    for name, parents in commands.items():
+        p = sub.add_parser(name, parents=parents + [output])
+        if name not in EXPERIMENTS:
+            p.add_argument("input", help="serialized CTD file")
         if name == "max-entry":
             p.add_argument("--method", choices=("squaring", "power"),
                            default="squaring", help="which search iteration")
@@ -102,7 +115,10 @@ def _apply_config_file(parser, args):
     if args.config is None:
         return
     with open(args.config) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise CommandLineError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CommandLineError("config file must contain a JSON object")
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -116,32 +132,23 @@ def _apply_config_file(parser, args):
         setattr(args, key, value)
 
 
-def _termination(args, default):
-    if args.termination is None:
-        return default
-    return parse_termination(args.termination)
-
-
 def _configure(args):
     """The run the arguments ask for, as a call without arguments."""
+    # The command's settings, by ExperimentConfig field name; a setting the
+    # command does not take is absent, so ExperimentConfig's default holds.
+    settings = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+                if hasattr(args, f.name)}
+    if settings.get("termination") is not None:
+        settings["termination"] = parse_termination(settings["termination"])
     if args.command in EXPERIMENTS:
-        cfg = ExperimentConfig(
-            experiment=args.command,
-            out_dir=args.out,
-            seed=args.seed,
-            trials=args.trials,
-            epsilon=args.epsilon,
-            norm=args.norm,
-            algorithm=args.algorithm,
-            termination=_termination(args, None),
-        )
+        cfg = ExperimentConfig(experiment=args.command, out_dir=args.out, **settings)
         return partial(EXPERIMENTS[args.command], cfg)
     reduction = _reduction(args, "frobenius")
     if args.command == "reduce":
         return partial(reduce_file, args.input, reduction, args.out)
     search = MaxEntrySearchConfig(
         reduction=reduction,
-        termination=_termination(args, RankThreshold(1)),
+        termination=settings["termination"] or RankThreshold(1),
     )
     return partial(max_entry_file, args.input, search, args.out, method=args.method)
 

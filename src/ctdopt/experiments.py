@@ -79,7 +79,8 @@ class ExperimentConfig:
 
     Fields left at None fall back to the experiment's own defaults, which
     reproduce the reference configuration for that experiment.  Shapes and
-    iteration caps are fixed per experiment.
+    iteration caps are fixed per experiment.  The command line sets only the
+    fields its experiment's runner reads; the rest keep these defaults.
     """
 
     experiment: str
@@ -116,24 +117,38 @@ def _reduction(cfg, norm):
     )
 
 
-def _dump_json(doc, path):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_run(out_dir, files, manifest):
+    """Write a run's files into ``out_dir``, then its ``manifest.json``.
+
+    ``files`` maps each file name to its content: text is written as given,
+    a dict as indented JSON with sorted keys, and a callable is called with
+    the file's path.  ``manifest`` is the run's resolved configuration.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    files = {**files, "manifest.json": {"version": __version__, "config": manifest}}
+    for name, content in files.items():
+        path = os.path.join(out_dir, name)
+        if callable(content):
+            content(path)
+            continue
+        if isinstance(content, dict):
+            content = json.dumps(content, indent=2, sort_keys=True) + "\n"
+        with open(path, "w") as fh:
+            fh.write(content)
 
 
-def _write_manifest(out_dir, config):
-    doc = {"version": __version__, "config": config}
-    _dump_json(doc, os.path.join(out_dir, "manifest.json"))
+def _one_based(index):
+    return [i + 1 for i in index]
 
 
-def _experiment_echo(cfg):
-    return {
-        "experiment": cfg.experiment,
-        "seed": cfg.seed,
-        "trials": cfg.trials,
-        "out_dir": cfg.out_dir,
-    }
+def _candidates(trace):
+    return [{"index": _one_based(c.index), "value": c.value} for c in trace.candidates]
+
+
+def _experiment_echo(cfg, *settings):
+    """The experiment's name and output directory, plus the ``settings``
+    (``cfg`` field names) that its runner reads."""
+    return {name: getattr(cfg, name) for name in ("experiment", "out_dir", *settings)}
 
 
 def _reduction_echo(red):
@@ -198,23 +213,20 @@ def run_demo_convergence(cfg):
     trace = squaring_max(U, search)
     found = trace.candidates[0]
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "convergence_trace.csv"), "w") as fh:
-        fh.write(trace.to_csv())
     summary = {
-        "planted_location": [i + 1 for i in loc],
-        "found_location": [i + 1 for i in found.index],
+        "planted_location": _one_based(loc),
+        "found_location": _one_based(found.index),
         "location_correct": found.index == loc,
         "maximum_value": found.value,
         "iterations": trace.iterations,
         "final_rank": trace.final_rank,
         "flags": list(trace.flags),
     }
-    _dump_json(summary, os.path.join(cfg.out_dir, "convergence_summary.json"))
-    _write_manifest(
+    _write_run(
         cfg.out_dir,
+        {"convergence_trace.csv": trace.to_csv(), "convergence_summary.json": summary},
         {
-            **_experiment_echo(cfg),
+            **_experiment_echo(cfg, "seed"),
             "dims": d,
             "modes": M,
             "background_rank": bg_rank,
@@ -254,34 +266,30 @@ def run_demo_two_maxima(cfg):
     )
     trace_ext = squaring_max(U, search_ext)
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "two_maxima_k6_trace.csv"), "w") as fh:
-        fh.write(trace_k6.to_csv())
-    with open(os.path.join(cfg.out_dir, "two_maxima_extended_trace.csv"), "w") as fh:
-        fh.write(trace_ext.to_csv())
     summary = {
-        "planted_locations": [[i + 1 for i in loc] for loc in (loc_a, loc_b)],
+        "planted_locations": [_one_based(loc_a), _one_based(loc_b)],
         "k6": {
-            "candidates": [
-                {"index": [i + 1 for i in c.index], "value": c.value}
-                for c in trace_k6.candidates
-            ],
+            "candidates": _candidates(trace_k6),
             "both_planted_present": set((loc_a, loc_b)) <= set(found_k6),
             "final_rank": trace_k6.final_rank,
         },
         "extended": {
             "iterations": trace_ext.iterations,
             "final_rank": trace_ext.final_rank,
-            "surviving_location": [i + 1 for i in trace_ext.candidates[0].index],
+            "surviving_location": _one_based(trace_ext.candidates[0].index),
             "surviving_value": trace_ext.candidates[0].value,
             "flags": list(trace_ext.flags),
         },
     }
-    _dump_json(summary, os.path.join(cfg.out_dir, "two_maxima_summary.json"))
-    _write_manifest(
+    _write_run(
         cfg.out_dir,
         {
-            **_experiment_echo(cfg),
+            "two_maxima_k6_trace.csv": trace_k6.to_csv(),
+            "two_maxima_extended_trace.csv": trace_ext.to_csv(),
+            "two_maxima_summary.json": summary,
+        },
+        {
+            **_experiment_echo(cfg, "seed"),
             "dims": d,
             "modes": M,
             "background_rank": bg_rank,
@@ -313,9 +321,10 @@ def run_compare(cfg):
     )
     methods = (("squaring", squaring_max), ("power", power_method_max))
 
-    rows = []
-    times = []
+    results = ["trial,method,iterations,correct\n"]
+    timings = ["trial,method,seconds\n"]
     iters = {"squaring": [], "power": []}
+    seconds = {"squaring": [], "power": []}
     correct = {"squaring": 0, "power": 0}
     for t in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, t])
@@ -326,20 +335,11 @@ def run_compare(cfg):
             trace = runner(U, search)
             elapsed = time.perf_counter() - t0
             hit = trace.candidates[0].index == loc
-            rows.append((t, name, trace.iterations, int(hit)))
-            times.append((t, name, elapsed))
+            results.append(f"{t},{name},{trace.iterations},{int(hit)}\n")
+            timings.append(f"{t},{name},{elapsed:.6f}\n")
             iters[name].append(trace.iterations)
+            seconds[name].append(elapsed)
             correct[name] += hit
-
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "compare_results.csv"), "w") as fh:
-        fh.write("trial,method,iterations,correct\n")
-        for t, name, n_it, hit in rows:
-            fh.write(f"{t},{name},{n_it},{hit}\n")
-    with open(os.path.join(cfg.out_dir, "compare_times.csv"), "w") as fh:
-        fh.write("trial,method,seconds\n")
-        for t, name, elapsed in times:
-            fh.write(f"{t},{name},{elapsed:.6f}\n")
 
     fewer = sum(
         1 for sq, pw in zip(iters["squaring"], iters["power"]) if sq < pw
@@ -359,22 +359,21 @@ def run_compare(cfg):
         },
         "squaring_fewer_iterations_fraction": fewer / cfg.trials,
     }
-    _dump_json(summary, os.path.join(cfg.out_dir, "compare_summary.json"))
-
-    by_method = {name: [e for _, n, e in times if n == name] for name in iters}
+    median_seconds = {name: statistics.median(vals) for name, vals in seconds.items()}
     times_summary = {
-        "median_seconds": {
-            name: statistics.median(vals) for name, vals in by_method.items()
-        },
-        "squaring_faster": statistics.median(by_method["squaring"])
-        < statistics.median(by_method["power"]),
+        "median_seconds": median_seconds,
+        "squaring_faster": median_seconds["squaring"] < median_seconds["power"],
     }
-    _dump_json(times_summary, os.path.join(cfg.out_dir, "compare_times_summary.json"))
-
-    _write_manifest(
+    _write_run(
         cfg.out_dir,
         {
-            **_experiment_echo(cfg),
+            "compare_results.csv": "".join(results),
+            "compare_summary.json": summary,
+            "compare_times.csv": "".join(timings),
+            "compare_times_summary.json": times_summary,
+        },
+        {
+            **_experiment_echo(cfg, "seed", "trials"),
             "dims": d,
             "modes": M,
             "background_rank": bg_rank,
@@ -461,12 +460,9 @@ def run_ackley(cfg):
             "separated_defect_at_innermost_point": float(inner_defect),
         },
     }
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _dump_json(doc, os.path.join(cfg.out_dir, "ackley_report.json"))
-    with open(os.path.join(cfg.out_dir, "ackley_trajectory.csv"), "w") as fh:
-        fh.write(report.trace.to_csv())
-    _write_manifest(
+    _write_run(
         cfg.out_dir,
+        {"ackley_report.json": doc, "ackley_trajectory.csv": report.trace.to_csv()},
         {
             **_experiment_echo(cfg),
             "dims": d,
@@ -492,13 +488,14 @@ def reduce_file(input_path, reduction, out_dir):
     """Reduce a serialized CTD file; write the result plus metadata JSON."""
     U = load_ctd(input_path)
     result = reduce(U, reduction)
-    os.makedirs(out_dir, exist_ok=True)
-    save_ctd(result.ctd, os.path.join(out_dir, "reduced_ctd.json"))
     meta = {"input": os.path.basename(input_path), "input_rank": U.rank}
     meta.update(result.metadata())
-    _dump_json(meta, os.path.join(out_dir, "reduction_metadata.json"))
-    _write_manifest(
+    _write_run(
         out_dir,
+        {
+            "reduced_ctd.json": lambda path: save_ctd(result.ctd, path),
+            "reduction_metadata.json": meta,
+        },
         {
             "operation": "reduce",
             "input": os.path.basename(input_path),
@@ -517,25 +514,19 @@ def max_entry_file(input_path, search, out_dir, method="squaring"):
     runner = squaring_max if method == "squaring" else power_method_max
     trace = runner(U, search)
     top = trace.candidates[0]
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "max_entry_trace.csv"), "w") as fh:
-        fh.write(trace.to_csv())
     doc = {
         "input": os.path.basename(input_path),
         "method": method,
-        "location": [i + 1 for i in top.index],
+        "location": _one_based(top.index),
         "value": top.value,
         "iterations": trace.iterations,
         "final_rank": trace.final_rank,
-        "candidates": [
-            {"index": [i + 1 for i in c.index], "value": c.value}
-            for c in trace.candidates
-        ],
+        "candidates": _candidates(trace),
         "flags": list(trace.flags),
     }
-    _dump_json(doc, os.path.join(out_dir, "max_entry.json"))
-    _write_manifest(
+    _write_run(
         out_dir,
+        {"max_entry_trace.csv": trace.to_csv(), "max_entry.json": doc},
         {
             "operation": "max-entry",
             "input": os.path.basename(input_path),

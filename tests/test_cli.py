@@ -24,7 +24,8 @@ from ctdopt import (
     termination_to_string,
     to_dense,
 )
-from ctdopt.cli import main
+from ctdopt import cli
+from ctdopt.cli import CommandLineError, main
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -205,6 +206,24 @@ class TestConfigFile:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "usage"
 
+    def test_unparseable_config_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("not json")
+        out = tmp_path / "out"
+        rc = main(["demo-convergence", "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage"
+        assert "JSON" in err["message"]
+        assert not out.exists()
+        # A config file that is not there is not a usage problem, like a
+        # missing input file.
+        rc = main(["demo-convergence", "--config", str(tmp_path / "absent.json"),
+                   "--out", str(out)])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
+        assert not out.exists()
+
     def test_config_must_be_object(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps([1, 2]))
@@ -212,6 +231,108 @@ class TestConfigFile:
                    "--out", str(tmp_path)])
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "usage"
+
+
+# Every flag a command may take, with a value and the value it parses to.
+FLAG_VALUES = {
+    "--seed": ("5", 5),
+    "--trials": ("3", 3),
+    "--epsilon": ("1e-5", 1e-5),
+    "--norm": ("snorm", "snorm"),
+    "--algorithm": ("als", "als"),
+    "--termination": ("rank:2", "rank:2"),
+    "--out": ("outdir", "outdir"),
+    "--config": ("config.json", "config.json"),
+    "--method": ("power", "power"),
+}
+
+# Exactly the flags each command's run reads.
+KEPT_FLAGS = {
+    "demo-convergence": ["--seed", "--epsilon", "--norm", "--algorithm",
+                         "--termination", "--out", "--config"],
+    "demo-two-maxima": ["--seed", "--epsilon", "--norm", "--algorithm",
+                        "--out", "--config"],
+    "compare": ["--seed", "--trials", "--epsilon", "--norm", "--algorithm",
+                "--termination", "--out", "--config"],
+    "ackley": ["--epsilon", "--norm", "--algorithm", "--termination",
+               "--out", "--config"],
+    "reduce": ["--epsilon", "--norm", "--algorithm", "--out", "--config"],
+    "max-entry": ["--epsilon", "--norm", "--algorithm", "--termination",
+                  "--method", "--out", "--config"],
+}
+
+# Flags a command used to accept although its run never read them.
+REMOVED_FLAGS = [
+    ("demo-convergence", "--trials"),
+    ("demo-two-maxima", "--trials"),
+    ("demo-two-maxima", "--termination"),
+    ("ackley", "--seed"),
+    ("ackley", "--trials"),
+    ("reduce", "--seed"),
+    ("reduce", "--trials"),
+    ("reduce", "--termination"),
+    ("max-entry", "--seed"),
+    ("max-entry", "--trials"),
+]
+
+
+def command_argv(command, src):
+    """The command with its input file, if it takes one."""
+    return [command, str(src)] if command in ("reduce", "max-entry") else [command]
+
+
+class TestCommandFlags:
+    @pytest.fixture
+    def src(self, tmp_path):
+        path = tmp_path / "u.json"
+        save_ctd(random_ctd([4, 4], 2, rng=np.random.default_rng(6)), str(path))
+        return path
+
+    def test_each_command_takes_exactly_its_flags(self, src):
+        for command, kept in KEPT_FLAGS.items():
+            for flag, (text, value) in FLAG_VALUES.items():
+                argv = command_argv(command, src) + [flag, text]
+                if flag not in kept:
+                    with pytest.raises(CommandLineError, match=flag):
+                        cli._build_parser().parse_args(argv)
+                    continue
+                args = cli._build_parser().parse_args(argv)
+                assert getattr(args, flag[2:]) == value, (command, flag)
+
+    @pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
+    def test_removed_flag_is_usage_error(self, tmp_path, src, capsys, command, flag):
+        out = tmp_path / "out"
+        argv = command_argv(command, src) + [flag, FLAG_VALUES[flag][0]]
+        rc = main(argv + ["--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage"
+        assert flag in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
+    def test_removed_config_key_is_usage_error(self, tmp_path, src, capsys,
+                                               command, flag):
+        key = flag[2:]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: FLAG_VALUES[flag][1]}))
+        out = tmp_path / "out"
+        rc = main(command_argv(command, src) + ["--config", str(config),
+                                                "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage"
+        assert f"unknown config key {key!r}" in err["message"]
+        assert not out.exists()
+
+    def test_manifest_names_only_settings_read(self, tmp_path, capsys):
+        out = tmp_path / "demo"
+        rc = main(["demo-convergence", "--seed", "7", "--out", str(out)])
+        assert rc == 0
+        capsys.readouterr()
+        config = read_json(out / "manifest.json")["config"]
+        assert config["seed"] == 7
+        assert "trials" not in config
 
 
 class TestErrorHandling:
