@@ -95,6 +95,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"experiment must be one of {tuple(EXPERIMENTS)}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         # Build a reduction now, so a bad epsilon, norm or algorithm is an

@@ -10,10 +10,13 @@ Two algorithms sit behind one entry point, :func:`reduce`:
   weights.  This keeps original factor columns untouched and is the cheaper
   route when the input terms are nearly dependent.  In the Frobenius norm
   the Gram matrix is formed once, with <U, U>, and the factorization tracks
-  the exact residual of the refit on its pivots; in the s-norm it is never
-  formed: the factorization reads its diagonal and fetches the column of
-  each pivot, so its cost grows with the skeleton size, not with the square
-  of the input rank.
+  the exact residual of the refit on its pivots; in the s-norm the
+  factorization never reads a formed Gram: it reads the diagonal and fetches
+  the column of each pivot, so its cost grows with the skeleton size, not
+  with the square of the input rank.  Below input rank 256 the search also
+  forms the Gram once, at its first measurement, only to sum it into
+  <U, U>; with the Cholesky factor that gives the refit's Frobenius
+  residual, which bounds the s-norm error from above.
 
 The reduction target can be measured in the Frobenius norm or in the s-norm
 (the weight of the best rank-one separated approximation).  The s-norm never
@@ -46,6 +49,11 @@ _NORMS = ("frobenius", "snorm")
 _ALGORITHMS = ("als", "id")
 _ALS_MAX_SWEEPS = 200  # sweep budget per candidate rank
 _EPS = np.finfo(float).eps
+# The s-norm interpolative search forms <U, U> to read each skeleton's
+# Frobenius residual only up to this input rank: an r x r Gram of at most
+# 512 KiB.  Above it, forming the Gram costs more than the rank-one
+# measurements it spares.
+_SNORM_GRAM_MAX_RANK = 256
 
 
 @dataclass(frozen=True)
@@ -102,11 +110,16 @@ class ReductionResult:
     is the sum of the unselected terms' residual energies, while the
     residual of the refit is the norm of the sum of those residuals, which
     can be up to sqrt(r - k) times larger for r input terms and a skeleton
-    of k.  So the estimate does not bound the s-norm error.  A measured
-    s-norm ``rel_error`` is the weight of a single-start rank-one fit, a
-    lower bound on the s-norm of the difference; the interpolative path
-    measures it on the input's own terms (see
-    :func:`interpolative_reduce`), ALS on the concatenated difference.
+    of k.  So the estimate does not bound the s-norm error.  Any other
+    s-norm ``rel_error`` is one of two bounds.  Where the Frobenius residual
+    of the fit, plus its rounding allowance, is within the tolerance, it is
+    the root of that sum, an upper bound on the s-norm error (up to the
+    allowance, an estimate; see :func:`_frobenius_bound`); the
+    interpolative path reads it so only below input rank 256.  Otherwise it
+    is the weight of a single-start rank-one fit, a lower bound on the
+    s-norm of the difference; the interpolative path measures it on the
+    input's own terms (see :func:`interpolative_reduce`), ALS on the
+    concatenated difference.
 
     ``sweeps`` counts the ALS sweeps of the candidate ranks that were
     fitted; a rank ALS skips unfitted adds none, and the interpolative path
@@ -177,6 +190,26 @@ def _root(sq):
     """Square root of a squared norm formed from inner products, clamped at
     zero against cancellation, as :func:`~ctdopt.ctd.frobenius_norm` does."""
     return float(np.sqrt(max(sq, 0.0)))
+
+
+def _frobenius_bound(sq, U, goal):
+    """An upper bound on ||U - V||_s from the squared Frobenius residual
+    ``sq`` of a fit V to U, formed as a difference of inner products, or
+    None if that bound exceeds ``goal``.
+
+    The s-norm never exceeds the Frobenius norm, so sqrt(sq) bounds the
+    s-norm error up to the rounding of the difference.  The allowance
+    r * eps * (sum |s|)^2, for U's r terms and s-values s, estimates that
+    rounding, as :func:`_rank_floor` estimates its own: every term of those
+    sums is at most the product of two s-values, and their sum can be far
+    larger than ||U||^2 where terms cancel.  It is an estimate, not a proved
+    bound.  Where it alone exceeds goal^2, as at tolerances below about
+    sqrt(eps), the Frobenius residual cannot resolve the goal, and this
+    returns None whatever ``sq`` is.
+    """
+    size = float(np.sum(np.abs(U.svalues)))
+    bound_sq = max(sq, 0.0) + U.rank * _EPS * size * size
+    return float(np.sqrt(bound_sq)) if bound_sq <= goal * goal else None
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +547,14 @@ def _als_reduce(U, cfg, fallback=False):
         state, fro_res, sweeps = _als_fit(U, order[:r], cfg, uu, norm_target)
         total_sweeps += sweeps
         V = state.to_ctd()
-        # The Frobenius residual bounds the s-norm from above, so meeting the
-        # goal in Frobenius settles either norm; otherwise re-measure in the
-        # configured norm before giving up on this rank.
+        # In the s-norm the Frobenius residual, an upper bound, settles the
+        # fit where it is within the goal with its rounding allowance;
+        # otherwise the s-norm is measured before giving up on this rank.
         err = fro_res
-        if err > goal and cfg.norm == "snorm":
-            err = norm_of_difference(U, V, "snorm")
+        if cfg.norm == "snorm":
+            err = _frobenius_bound(fro_res * fro_res, U, goal)
+            if err is None:
+                err = norm_of_difference(U, V, "snorm")
         if cfg.max_rank is not None and (best is None or err < best[0]):
             best = (err, V)
         return err, V
@@ -573,7 +608,9 @@ def _pivoted_cholesky_lazy(U, bound=None, gram=None, uu=None, max_pivots=None):
 
     Returns (pivots, L, C, remaining, indefinite): ``C[:, k]`` is the Gram
     column of the k-th pivot, for the skeleton refit, and ``L[:, :k]``
-    reproduces the Gram on the pivot block exactly.  Ties in the pivot
+    reproduces the Gram on the pivot block exactly; L[:, :k] L[:, :k]^T is
+    the Gram projected onto the first k pivots, so ||L[:, :k]^T 1||^2 is
+    ||P_S U||^2, the squared norm of the refit of U on them.  Ties in the pivot
     choice resolve to the lowest index.  ``indefinite`` flags an updated
     diagonal dipping below the negative roundoff band.
 
@@ -585,9 +622,8 @@ def _pivoted_cholesky_lazy(U, bound=None, gram=None, uu=None, max_pivots=None):
     With ``gram``, the unweighted term Gram (:func:`~ctdopt.ctd._cross_gram`
     of U with itself), and ``uu`` = <U, U> formed from it, the columns are
     read from that matrix, and ``remaining[k]`` is
-    ``uu - sum_{i <= k} (1^T L[:, i])^2``: L[:, :k+1] L[:, :k+1]^T is the
-    Gram projected onto the first k+1 pivots, so this is the squared
-    Frobenius residual of the least-squares refit of U on those terms.  A
+    ``uu - sum_{i <= k} (1^T L[:, i])^2``, the squared Frobenius residual
+    of the least-squares refit of U on the first k+1 pivots.  A
     diagonal exhausted after k pivots leaves nothing outside their span
     beyond roundoff, so ``remaining[k-1]`` is then set to 0.  Here the
     diagonal counts as exhausted also when every unselected entry is at most
@@ -728,7 +764,7 @@ def interpolative_reduce(U, cfg):
     cap.  The residual is a difference of two sums of size ||U||^2, so it is
     exact only down to about sqrt(machine eps) relative.
 
-    In the s-norm the Gram matrix is never formed: the Cholesky fetches only
+    In the s-norm the Cholesky reads no formed Gram matrix: it fetches only
     the Gram columns it pivots on, so its cost scales with the skeleton size
     times r.  The search starts at the first skeleton whose unselected
     diagonal mass is at most (epsilon * ||U||_s)^2.  A skeleton whose
@@ -736,14 +772,21 @@ def interpolative_reduce(U, cfg):
     on that estimate (see :class:`ReductionResult` for why it is not a
     bound); otherwise its error is measured, and the skeleton grows further
     if it still exceeds the tolerance.  The Cholesky stops at that estimate,
-    because no skeleton past it is ever tried.  The error is measured on the
-    input's own terms (:func:`_skeleton_residual`): the skeleton's terms are
-    input terms, so U - V is U with the weights s_i - c_i s_i on the
-    skeleton, where c is the refit's solution, and a measurement holds no
-    second copy of U.  Under a ``max_rank`` cap the best skeleton is chosen
-    by measured error.  A measurement stops once it exceeds the goal, so
-    these errors are lower bounds, and so is the ``rel_error`` reported
-    with a capped result.
+    because no skeleton past it is ever tried.  Up to input rank 256
+    (``_SNORM_GRAM_MAX_RANK``, a Gram of 512 KiB) a measurement first forms
+    <U, U>, once per reduction, and reads the refit's squared Frobenius
+    residual, <U, U> - ||L^T 1||^2, from the Cholesky factor L.  That
+    residual bounds the s-norm error from above, and every rank-one ALS
+    weight lies below the s-norm, so where it settles the skeleton
+    (:func:`_frobenius_bound`) ALS would accept it too, and it is accepted
+    without ALS.  Above the gate, forming <U, U> costs more than the ALS
+    it spares.  Otherwise the error is measured on the input's own terms
+    (:func:`_skeleton_residual`): the skeleton's terms are input terms, so
+    U - V is U with the weights s_i - c_i s_i on the skeleton, where c is
+    the refit's solution, and a measurement holds no second copy of U.
+    Under a ``max_rank`` cap the best skeleton is chosen by measured error.
+    A measurement stops once it exceeds the goal, so these errors are lower
+    bounds, and so is the ``rel_error`` reported with a capped result.
 
     In both norms only the returned skeleton is built as a CTD, and an
     indefinite Gram matrix falls back to the ALS path with a warning flag.
@@ -805,7 +848,7 @@ def _snorm_skeleton(U, cfg, goal):
     # The search accepts at the first k whose Cholesky estimate meets this,
     # so no later pivot is read.
     cert_goal = 0.1 * goal
-    pivots, _, C, remaining, indefinite = _pivoted_cholesky_lazy(U, cert_goal)
+    pivots, L, C, remaining, indefinite = _pivoted_cholesky_lazy(U, cert_goal)
     if indefinite:
         return None
     mass_goal = goal * goal
@@ -814,21 +857,38 @@ def _snorm_skeleton(U, cfg, goal):
         k0 += 1
     cap = len(pivots) if cfg.max_rank is None else min(len(pivots), cfg.max_rank)
     accepted = best = None
+    uu = None  # <U, U>, formed at the first measurement below the rank gate
     for k in range(min(k0, cap), cap + 1):
         if k >= U.rank:
             break
-        c = _skeleton_coefficients(C, pivots, k)
         # The unselected diagonal mass is the sum of the unselected terms'
         # residual energies.  The squared Frobenius residual of the
         # least-squares fit is the energy of their sum, up to r - k times
         # more, and it bounds the s-norm error from above, so the mass is an
         # estimate of the error, not a bound on it.  It costs nothing, so it
         # is taken as the error when it meets the goal with a tenfold
-        # margin, and measured otherwise.
+        # margin, and bounded or measured otherwise.
         err = np.sqrt(max(remaining[k - 1], 0.0))
         if err > cert_goal:
-            err = rank_one_approx(_skeleton_residual(U, pivots[:k], c),
-                                  goal=goal).svalue
+            err = None
+            if U.rank <= _SNORM_GRAM_MAX_RANK:
+                # The refit's squared Frobenius residual is uu - ||L^T 1||^2
+                # (see _pivoted_cholesky_lazy); within the goal it settles
+                # the skeleton, since ALS weight <= s-norm <= Frobenius.
+                if uu is None:
+                    # A copy makes each factor Gram a GEMM: on one buffer
+                    # NumPy calls SYRK, which OpenBLAS threads even at these
+                    # sizes, at milliseconds per call on two cores.
+                    twin = CTD(U.svalues, [F.copy() for F in U.factors],
+                               validate=False)
+                    uu = float(U.svalues @ _cross_gram(U, twin) @ U.svalues)
+                    del twin
+                    proj = np.cumsum(L.sum(axis=0) ** 2)
+                err = _frobenius_bound(uu - proj[k - 1], U, goal)
+            if err is None:
+                c = _skeleton_coefficients(C, pivots, k)
+                err = rank_one_approx(_skeleton_residual(U, pivots[:k], c),
+                                      goal=goal).svalue
         if err <= goal:
             accepted = (err, k)
             break

@@ -410,6 +410,23 @@ class TestInvalidValues:
             assert word in err["message"], argv
             assert not out.exists(), argv
 
+    @pytest.mark.parametrize("argv", [
+        ["demo-convergence", "--seed", "-1"],
+        ["demo-two-maxima", "--seed", "-1"],
+        ["compare", "--seed", "-1", "--trials", "1"],
+        ["demo-convergence", "--config", "seed.json"],
+    ], ids=["demo-convergence", "demo-two-maxima", "compare", "config-file"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, argv):
+        (tmp_path / "seed.json").write_text(json.dumps({"seed": -1}))
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        out = tmp_path / "out"
+        rc = main(argv + ["--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage"
+        assert "seed" in err["message"]
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_demo_convergence_byte_identical(self, tmp_path, capsys):

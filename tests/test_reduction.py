@@ -850,3 +850,98 @@ class TestFrobeniusContract:
         assert res.tolerance_met
         assert res.rank == 2
         assert dense_rel_error(U, res.ctd) <= 1e-3
+
+
+def noisy_repeats(copies, rel_noise, epsilon):
+    """A random signed rank-2 CTD W plus ``copies`` copies of W at weights in
+    [0.5, 1.5), plus one random term whose Frobenius norm is ``rel_noise``
+    times the s-norm goal at ``epsilon`` of the rest.  The skeleton on W's
+    two terms leaves a refit residual of at most that norm."""
+    rng = np.random.default_rng(1)
+    W = random_signed_ctd((5, 4, 6), 2, rng)
+    N = random_signed_ctd((5, 4, 6), 1, rng)
+    U = W
+    for c in rng.uniform(0.5, 1.5, size=copies):
+        U = add(U, scale(W, c))
+    return add(U, scale(N, rel_noise * epsilon * s_norm(U) / frobenius_norm(N)))
+
+
+def goal_calls(monkeypatch):
+    """The goals of the calls to rank_one_approx that measure an error."""
+    goals = []
+    measure = reduction_mod.rank_one_approx
+
+    def counted(U, max_sweeps=500, goal=None):
+        if goal is not None:
+            goals.append(goal)
+        return measure(U, max_sweeps, goal)
+
+    monkeypatch.setattr(reduction_mod, "rank_one_approx", counted)
+    return goals
+
+
+class TestSnormFrobeniusBound:
+    """An s-norm fit whose Frobenius residual, with its rounding allowance,
+    is within the goal is accepted on that residual, an upper bound on the
+    s-norm error; elsewhere the error is measured by rank-one ALS."""
+
+    def test_refit_residual_within_goal_is_not_measured(self, monkeypatch):
+        U = noisy_repeats(0, 0.5, 1e-3)
+        goals = goal_calls(monkeypatch)
+        res = reduce(U, ReductionConfig(epsilon=1e-3, norm="snorm", algorithm="id"))
+        assert goals == []
+        assert res.tolerance_met and res.rank == 2
+        assert res.rel_error <= 1e-3
+        # an upper bound on the error; the ALS weight it replaces fell below
+        # the dense error
+        dense = np.linalg.norm(to_dense(U) - to_dense(res.ctd))
+        assert res.rel_error * s_norm(U) >= dense
+
+    @pytest.mark.parametrize("copies,epsilon", [(0, 1e-10), (150, 1e-3)],
+                             ids=["below-rounding", "above-rank-gate"])
+    def test_measured_where_the_residual_cannot_settle(self, monkeypatch, copies,
+                                                       epsilon):
+        # At 1e-10 the rounding allowance alone exceeds goal^2; above the
+        # rank gate <U, U> is not formed.
+        U = noisy_repeats(copies, 0.5, epsilon)
+        assert (U.rank > reduction_mod._SNORM_GRAM_MAX_RANK) == (copies > 0)
+        goals = goal_calls(monkeypatch)
+        res = reduce(U, ReductionConfig(epsilon=epsilon, norm="snorm", algorithm="id"))
+        assert len(goals) == 1
+        assert res.tolerance_met and res.rank == 2
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(*_dependent_args, st.sampled_from([1e-2, 1e-4, 1e-6]),
+           st.sampled_from([0.03, 0.3, 1.0]))
+    def test_unmeasured_skeleton_within_goal(self, seed, rank, modes, copies, epsilon,
+                                             noise):
+        U = _dependent_ctd(seed, rank, modes, copies, noise * epsilon)
+        bounds = []
+        bound_of = reduction_mod._frobenius_bound
+
+        def recorded(sq, U, goal):
+            bounds.append((goal, bound_of(sq, U, goal)))
+            return bounds[-1][1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reduction_mod, "_frobenius_bound", recorded)
+            res = reduce(U, ReductionConfig(epsilon=epsilon, norm="snorm",
+                                            algorithm="id"))
+        if not bounds or bounds[-1][1] is None:
+            return  # measured by ALS, or accepted on the Cholesky estimate
+        goal, bound = bounds[-1]
+        assert res.tolerance_met
+        assert res.rel_error * goal / epsilon == pytest.approx(bound, rel=1e-12)
+        assert np.linalg.norm(to_dense(U) - to_dense(res.ctd)) <= bound <= goal
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_als_does_not_accept_below_its_rounding_floor(self, seed):
+        # A rank-2 CTD plus 1e-6 times a rank-1 one, at 1e-10 in the s-norm:
+        # the expanded Frobenius residual of a rank-2 fit clamps to 0, which
+        # passed as its error although its s-norm error is several goals.
+        rng = np.random.default_rng(seed)
+        W = random_ctd([5, 4, 6], 2, rng=rng)
+        U = add(W, scale(random_ctd([5, 4, 6], 1, rng=rng), 1e-6))
+        res = reduce(U, ReductionConfig(epsilon=1e-10, norm="snorm", algorithm="als"))
+        assert res.tolerance_met
+        assert s_norm(add(U, scale(res.ctd, -1.0))) <= 1e-10 * s_norm(U)
