@@ -13,10 +13,11 @@ Two algorithms sit behind one entry point, :func:`reduce`:
   the exact residual of the refit on its pivots; in the s-norm the
   factorization never reads a formed Gram: it reads the diagonal and fetches
   the column of each pivot, so its cost grows with the skeleton size, not
-  with the square of the input rank.  Below input rank 256 the search also
-  forms the Gram once, at its first measurement, only to sum it into
-  <U, U>; with the Cholesky factor that gives the refit's Frobenius
-  residual, which bounds the s-norm error from above.
+  with the square of the input rank.  Below input rank 512 the search also
+  forms the half Grams of a balanced split of the dimensions once, at its
+  first unsettled skeleton; they give <U, U>, and so the refit's Frobenius
+  residual, and the spectral norm of the residual's balanced flattening.
+  Both bound the s-norm error from above.
 
 The reduction target can be measured in the Frobenius norm or in the s-norm
 (the weight of the best rank-one separated approximation).  The s-norm never
@@ -49,11 +50,12 @@ _NORMS = ("frobenius", "snorm")
 _ALGORITHMS = ("als", "id")
 _ALS_MAX_SWEEPS = 200  # sweep budget per candidate rank
 _EPS = np.finfo(float).eps
-# The s-norm interpolative search forms <U, U> to read each skeleton's
-# Frobenius residual only up to this input rank: an r x r Gram of at most
-# 512 KiB.  Above it, forming the Gram costs more than the rank-one
-# measurements it spares.
-_SNORM_GRAM_MAX_RANK = 256
+# The s-norm interpolative search bounds a skeleton's error from its half
+# Grams only up to this input rank, so that the two r x r arrays it holds
+# take at most 2 MiB each; above it every skeleton is measured.
+_SNORM_GRAM_MAX_RANK = 512
+# Columns per block of the half Grams and of the in-place Cholesky.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -104,22 +106,33 @@ class ReductionResult:
     from its Cholesky factor (0 when the remaining terms lie in the
     skeleton's span to working precision).  Both are differences of inner
     products, so they resolve errors only down to about sqrt(machine eps)
-    relative.  In the s-norm the interpolative path may accept a skeleton on
-    its Cholesky estimate without a measurement: then ``rel_error`` is that
-    estimate, the square root of the unselected Cholesky mass.  That mass
-    is the sum of the unselected terms' residual energies, while the
-    residual of the refit is the norm of the sum of those residuals, which
-    can be up to sqrt(r - k) times larger for r input terms and a skeleton
-    of k.  So the estimate does not bound the s-norm error.  Any other
-    s-norm ``rel_error`` is one of two bounds.  Where the Frobenius residual
-    of the fit, plus its rounding allowance, is within the tolerance, it is
-    the root of that sum, an upper bound on the s-norm error (up to the
-    allowance, an estimate; see :func:`_frobenius_bound`); the
-    interpolative path reads it so only below input rank 256.  Otherwise it
-    is the weight of a single-start rank-one fit, a lower bound on the
-    s-norm of the difference; the interpolative path measures it on the
-    input's own terms (see :func:`interpolative_reduce`), ALS on the
-    concatenated difference.
+    relative.
+
+    An s-norm ``rel_error`` is one of four kinds:
+
+    * A Frobenius bound: where the Frobenius residual of the fit, plus its
+      rounding allowance, is within the tolerance, it is the root of that
+      sum, an upper bound on the s-norm error (up to the allowance, an
+      estimate; see :func:`_frobenius_bound`).  The interpolative path
+      reads it only below input rank 512.
+    * A flattening bound: the interpolative path, below input rank 512,
+      also accepts a skeleton whose residual's balanced flattening has
+      spectral norm within the tolerance less a rounding allowance (see
+      :func:`_flattening_bound`).  The test proves only that, so
+      ``rel_error`` is then epsilon itself, an upper bound.
+    * An ALS lower bound: otherwise a measured error is the weight of a
+      single-start rank-one fit, a lower bound on the s-norm of the
+      difference; the interpolative path measures it on the input's own
+      terms (see :func:`interpolative_reduce`), ALS on the concatenated
+      difference.
+    * A mass estimate: the interpolative path accepts a skeleton on its
+      Cholesky estimate without a bound or a measurement where that meets
+      the tolerance with a tenfold margin, and ``rel_error`` is that
+      estimate, the square root of the unselected Cholesky mass.  That mass
+      is the sum of the unselected terms' residual energies, while the
+      residual of the refit is the norm of the sum of those residuals,
+      which can be up to sqrt(r - k) times larger for r input terms and a
+      skeleton of k.  So the estimate does not bound the s-norm error.
 
     ``sweeps`` counts the ALS sweeps of the candidate ranks that were
     fitted; a rank ALS skips unfitted adds none, and the interpolative path
@@ -747,6 +760,131 @@ def _skeleton_residual(U, S, c):
     return CTD(w, U.factors, validate=False)
 
 
+def _half_gram_cols(factors, r, c, e):
+    """Columns c:e of the unweighted Gram of r terms over ``factors``: the
+    elementwise product of F^T F[:, c:e] over them, all ones for none.
+
+    Each product is a GEMM on a copy of the columns: on one buffer NumPy
+    calls SYRK, which OpenBLAS threads even at small sizes, at milliseconds
+    per call on two cores.
+    """
+    G = np.ones((r, e - c))
+    for F in factors:
+        G *= F.T @ F[:, c:e].copy()
+    return G
+
+
+def _cholesky_in_place(X):
+    """Overwrite the lower triangle of the symmetric X with its Cholesky
+    factor and zero the rest; returns False, with X partly overwritten, if X
+    is not numerically positive definite.
+
+    It works on blocks of ``_BLOCK`` columns: it factors a diagonal block,
+    solves the panel below it, and updates the trailing lower triangle one
+    column block at a time, so unlike :func:`numpy.linalg.cholesky` it holds
+    no second array of X's size.
+    """
+    n = X.shape[0]
+    for k in range(0, n, _BLOCK):
+        e = min(k + _BLOCK, n)
+        try:
+            D = np.linalg.cholesky(X[k:e, k:e])
+        except np.linalg.LinAlgError:
+            return False
+        X[k:e, k:e] = D
+        X[k:e, e:] = 0.0
+        if e < n:
+            X[e:, k:e] = np.linalg.solve(D, X[e:, k:e].T).T
+            for c in range(e, n, _BLOCK):
+                ce = min(c + _BLOCK, n)
+                X[c:, c:ce] -= X[c:, k:e] @ X[c:ce, k:e].T.copy()
+    return True
+
+
+def _split_gram(U):
+    """(L, uu) for the balanced split of U's dimensions at h = floor(d / 2).
+
+    A is the unweighted term Gram over dimensions 0..h-1 and B over the
+    rest, each formed a column block at a time (:func:`_half_gram_cols`).
+    The term Gram is A o B, so uu = <U, U> = s^T (A o B) s is summed block by
+    block, and B is never held.  A is numerically singular wherever the
+    first half holds fewer than r independent directions, so L is the
+    Cholesky factor of A + delta I, with delta = n eps max_l A_ll for n =
+    sum_j M_j + r, formed in A's own buffer; L is None if even that is not
+    numerically positive definite.
+    """
+    r = U.rank
+    h = U.ndim // 2
+    A = np.empty((r, r))
+    uu = 0.0
+    for c in range(0, r, _BLOCK):
+        e = min(c + _BLOCK, r)
+        A[:, c:e] = _half_gram_cols(U.factors[:h], r, c, e)
+        B = _half_gram_cols(U.factors[h:], r, c, e)
+        uu += float(U.svalues @ (A[:, c:e] * B) @ U.svalues[c:e])
+    A.flat[::r + 1] += (sum(U.modes) + r) * _EPS * float(A.diagonal().max())
+    return (A if _cholesky_in_place(A) else None), uu
+
+
+def _flattening_bound(U, L, w, goal):
+    """``goal`` if the balanced flattening proves that the CTD R with U's
+    factors and the signed weights ``w`` has s-norm within ``goal``, else
+    None; L is the shifted half-Gram factor of :func:`_split_gram`.
+
+    Let R_(S) be R's matricization with dimensions 0..h-1 on its rows, X
+    the Khatri-Rao product of their factors, W = diag(w), A = X^T X and B
+    the other half's Gram.  Then R_(S) R_(S)^T = X W B W X^T, so
+    ||R_(S)||_2^2 = lambda_max(W B W A), at most lambda_max(L^T W B W L)
+    since L L^T = A + delta I: the shift only raises it.  The s-norm is at
+    most the spectral norm of any matricization (S. Hu, Linear Algebra Appl.
+    478, 2015), so R is within ``goal`` when g^2 I - L^T W B W L is positive
+    definite, one Cholesky, for g^2 = goal^2 less an allowance.  The test
+    settles only that, so the bound it reports is ``goal`` itself.
+
+    The allowance n eps max|w| sum|w|, for n = sum_j M_j + r, estimates the
+    rounding of that matrix: max|w| sum|w| bounds ||W L||_2^2 by
+    Gershgorin, and n eps the relative rounding of the Gram entries, formed
+    through products of length M_j, and of the r-long contractions.  It is
+    an estimate, not a proved bound.  Where it alone exceeds goal^2 this
+    returns None.
+
+    The matrix is built in the lower triangle of one r x r buffer next to
+    L, which is all the Cholesky reads: the lower triangle and diagonal
+    blocks of -W B W L, a row block at a time from B's column blocks (B is
+    symmetric), then -L^T W B W L a column block at a time, in place.  Each
+    product reads only L's lower triangle and has an inner dimension of at
+    most ``_BLOCK``, so the panels OpenBLAS packs it into, in buffers that
+    stay resident once touched, are that deep and not r.
+    """
+    r = U.rank
+    aw = np.abs(w)
+    g2 = goal * goal - (sum(U.modes) + r) * _EPS * float(aw.max()) * float(aw.sum())
+    if g2 <= 0.0:
+        return None
+    right = U.factors[U.ndim // 2:]
+    Y = np.empty((r, r))
+    for a in range(0, r, _BLOCK):
+        b = min(a + _BLOCK, r)
+        X = _half_gram_cols(right, r, a, b).T * w  # rows a:b of B W
+        out = Y[a:b, :b]
+        out[:] = 0.0
+        for k in range(0, r, _BLOCK):
+            e = min(k + _BLOCK, r)
+            out[:, :min(e, b)] += X[:, k:e] @ L[k:e, :min(e, b)]
+        out *= -w[a:b, None]
+    col = np.empty((r, _BLOCK))
+    for c in range(0, r, _BLOCK):
+        b = min(c + _BLOCK, r)
+        out = col[c:, :b - c]  # rows c: of column block c:b of L^T Y
+        out[:] = 0.0
+        for k in range(c, r, _BLOCK):
+            e = min(k + _BLOCK, r)
+            out[:e - c] += L[k:e, c:e].T @ Y[k:e, c:b]
+        Y[c:, c:b] = out
+    Y.flat[::r + 1] += g2
+    return goal if _cholesky_in_place(Y) else None
+
+
 def interpolative_reduce(U, cfg):
     """Skeleton-based reduction via pivoted Cholesky on the term Gram matrix.
 
@@ -772,18 +910,21 @@ def interpolative_reduce(U, cfg):
     on that estimate (see :class:`ReductionResult` for why it is not a
     bound); otherwise its error is measured, and the skeleton grows further
     if it still exceeds the tolerance.  The Cholesky stops at that estimate,
-    because no skeleton past it is ever tried.  Up to input rank 256
-    (``_SNORM_GRAM_MAX_RANK``, a Gram of 512 KiB) a measurement first forms
-    <U, U>, once per reduction, and reads the refit's squared Frobenius
-    residual, <U, U> - ||L^T 1||^2, from the Cholesky factor L.  That
-    residual bounds the s-norm error from above, and every rank-one ALS
-    weight lies below the s-norm, so where it settles the skeleton
-    (:func:`_frobenius_bound`) ALS would accept it too, and it is accepted
-    without ALS.  Above the gate, forming <U, U> costs more than the ALS
-    it spares.  Otherwise the error is measured on the input's own terms
-    (:func:`_skeleton_residual`): the skeleton's terms are input terms, so
-    U - V is U with the weights s_i - c_i s_i on the skeleton, where c is
-    the refit's solution, and a measurement holds no second copy of U.
+    because no skeleton past it is ever tried.  Up to input rank 512
+    (``_SNORM_GRAM_MAX_RANK``), a skeleton that the estimate does not
+    settle is first bounded from above, from the half Grams of U's balanced
+    split (:func:`_split_gram`), formed once per reduction, at its first
+    such skeleton; they also give <U, U>.  Two bounds are tried in turn: the
+    refit's Frobenius residual, <U, U> - ||L^T 1||^2 from the Cholesky
+    factor L (:func:`_frobenius_bound`), then the spectral norm of the
+    residual's balanced flattening (:func:`_flattening_bound`).  Since ALS
+    weight <= s-norm <= flattening norm <= Frobenius norm, a skeleton either
+    bound settles is one ALS would accept too, and it is accepted without
+    ALS.  Above the gate, and where neither bound settles it, the error is
+    measured on the input's own terms (:func:`_skeleton_residual`): the
+    skeleton's terms are input terms, so U - V is U with the weights
+    s_i - c_i s_i on the skeleton, where c is the refit's solution, and a
+    measurement holds no second copy of U.
     Under a ``max_rank`` cap the best skeleton is chosen by measured error.
     A measurement stops once it exceeds the goal, so these errors are lower
     bounds, and so is the ``rel_error`` reported with a capped result.
@@ -857,7 +998,7 @@ def _snorm_skeleton(U, cfg, goal):
         k0 += 1
     cap = len(pivots) if cfg.max_rank is None else min(len(pivots), cfg.max_rank)
     accepted = best = None
-    uu = None  # <U, U>, formed at the first measurement below the rank gate
+    split = None  # _split_gram(U), formed at the first bounded skeleton
     for k in range(min(k0, cap), cap + 1):
         if k >= U.rank:
             break
@@ -870,25 +1011,22 @@ def _snorm_skeleton(U, cfg, goal):
         # margin, and bounded or measured otherwise.
         err = np.sqrt(max(remaining[k - 1], 0.0))
         if err > cert_goal:
+            R = _skeleton_residual(U, pivots[:k], _skeleton_coefficients(C, pivots, k))
             err = None
             if U.rank <= _SNORM_GRAM_MAX_RANK:
-                # The refit's squared Frobenius residual is uu - ||L^T 1||^2
-                # (see _pivoted_cholesky_lazy); within the goal it settles
-                # the skeleton, since ALS weight <= s-norm <= Frobenius.
-                if uu is None:
-                    # A copy makes each factor Gram a GEMM: on one buffer
-                    # NumPy calls SYRK, which OpenBLAS threads even at these
-                    # sizes, at milliseconds per call on two cores.
-                    twin = CTD(U.svalues, [F.copy() for F in U.factors],
-                               validate=False)
-                    uu = float(U.svalues @ _cross_gram(U, twin) @ U.svalues)
-                    del twin
+                # ALS weight <= s-norm <= balanced flattening <= Frobenius,
+                # so either bound within the goal settles the skeleton as
+                # ALS would.  The refit's squared Frobenius residual is
+                # uu - ||L^T 1||^2 (see _pivoted_cholesky_lazy).
+                if split is None:
+                    split = _split_gram(U)
                     proj = np.cumsum(L.sum(axis=0) ** 2)
+                half_factor, uu = split
                 err = _frobenius_bound(uu - proj[k - 1], U, goal)
+                if err is None and half_factor is not None:
+                    err = _flattening_bound(U, half_factor, R.svalues, goal)
             if err is None:
-                c = _skeleton_coefficients(C, pivots, k)
-                err = rank_one_approx(_skeleton_residual(U, pivots[:k], c),
-                                      goal=goal).svalue
+                err = rank_one_approx(R, goal=goal).svalue
         if err <= goal:
             accepted = (err, k)
             break

@@ -471,9 +471,13 @@ class TestDeterminism:
         U = add(add(W, scale(W, 0.5)), scale(noise, 1e-5))
         src = tmp_path / "u.json"
         save_ctd(U, str(src))
+        # ID in the s-norm at 1e-5 settles its skeleton on the flattening
+        # bound: a positive-definiteness verdict read from GEMM output.
         commands = {
             "reduce": ["reduce", str(src), "--algorithm", "als",
                        "--norm", "frobenius", "--epsilon", "1e-6"],
+            "reduce-snorm": ["reduce", str(src), "--algorithm", "id",
+                             "--norm", "snorm", "--epsilon", "1e-5"],
             "demo": ["demo-convergence", "--seed", "7"],
         }
         env = dict(os.environ)

@@ -50,19 +50,21 @@ def test_square_holds_its_output_and_one_scratch(rng):
     assert peak <= nbytes(Q) + scratch + bookkeeping
 
 
-def snorm_measured_square():
-    """A square whose s-norm reduction measures a skeleton's error: the
-    third square of a squaring search on a spiked background, rank 351."""
+def snorm_square(steps):
+    """A square of a squaring search on a spiked background, after
+    ``steps`` s-norm reductions: rank 351 after two, rank 630 after
+    three."""
     rng = np.random.default_rng(0)
     Y, _ = plant_spike(background_instance(3, 400, 4, rng), rng, spike_add=4.0)
     cfg = ReductionConfig(epsilon=1e-6, norm="snorm")
-    for _ in range(2):
+    for _ in range(steps):
         Y = reduce(square(scale(Y, 1.0 / frobenius_norm(Y))), cfg).ctd
     return square(scale(Y, 1.0 / frobenius_norm(Y))), cfg
 
 
-def test_snorm_reduce_holds_no_copy_of_its_input(monkeypatch):
-    Q, cfg = snorm_measured_square()
+def traced_snorm_reduce(monkeypatch, Q, cfg):
+    """(result, peak bytes, the ranks of the CTDs rank_one_approx fitted)
+    of the s-norm reduction of Q."""
     fitted = []
     fit = reduction.rank_one_approx
 
@@ -72,9 +74,30 @@ def test_snorm_reduce_holds_no_copy_of_its_input(monkeypatch):
 
     monkeypatch.setattr(reduction, "rank_one_approx", recording)
     res, peak = traced_peak(reduce, Q, cfg)
+    return res, peak, fitted
+
+
+def test_snorm_reduce_holds_no_copy_of_its_input(monkeypatch):
+    # Rank 351 is below the rank gate, so the skeleton is bounded from the
+    # half Grams, two r x r arrays, without a rank-one measurement.
+    Q, cfg = snorm_square(2)
+    assert Q.rank <= reduction._SNORM_GRAM_MAX_RANK
+    res, peak, fitted = traced_snorm_reduce(monkeypatch, Q, cfg)
+    assert peak < factor_bytes(Q)
+    # every fit is on Q's own terms; the answer is a smaller skeleton, not
+    # Q itself
+    assert fitted and set(fitted) == {Q.rank}
+    assert res.tolerance_met and res.rank < Q.rank
+
+
+def test_snorm_measurement_holds_no_copy_of_its_input(monkeypatch):
+    # Rank 630 is above the rank gate, so a skeleton's error is measured.
+    Q, cfg = snorm_square(3)
+    assert Q.rank > reduction._SNORM_GRAM_MAX_RANK
+    res, peak, fitted = traced_snorm_reduce(monkeypatch, Q, cfg)
     assert peak < factor_bytes(Q)
     # s_norm(Q) first, then at least one measured skeleton, every fit on
-    # Q's own terms; the answer is a smaller skeleton, not Q itself.
+    # Q's own terms
     assert len(fitted) >= 2 and set(fitted) == {Q.rank}
     assert res.tolerance_met and res.rank < Q.rank
 

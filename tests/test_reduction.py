@@ -866,6 +866,22 @@ def noisy_repeats(copies, rel_noise, epsilon):
     return add(U, scale(N, rel_noise * epsilon * s_norm(U) / frobenius_norm(N)))
 
 
+def tilted_repeat(rel_tilt, epsilon, weight, modes):
+    """A random signed rank-2 CTD W plus W's first term at ``weight``, with
+    its first factor tilted out of W's span so that the refit of the sum on
+    W's two terms leaves a residual of norm ``rel_tilt`` times the s-norm
+    goal at ``epsilon`` of W, carried by weights near +-``weight``."""
+    rng = np.random.default_rng(1)
+    W = random_signed_ctd(modes, 2, rng)
+    Q = np.linalg.qr(W.factors[0])[0]
+    g = rng.standard_normal(modes[0])
+    g -= Q @ (Q.T @ g)
+    tilt = rel_tilt * epsilon * s_norm(W) / weight
+    f = W.factors[0][:, 0] + tilt * g / np.linalg.norm(g)
+    factors = [f / np.linalg.norm(f)] + [F[:, 0] for F in W.factors[1:]]
+    return add(W, CTD(np.array([weight]), [F[:, None] for F in factors]))
+
+
 def goal_calls(monkeypatch):
     """The goals of the calls to rank_one_approx that measure an error."""
     goals = []
@@ -897,14 +913,21 @@ class TestSnormFrobeniusBound:
         dense = np.linalg.norm(to_dense(U) - to_dense(res.ctd))
         assert res.rel_error * s_norm(U) >= dense
 
-    @pytest.mark.parametrize("copies,epsilon", [(0, 1e-10), (150, 1e-3)],
-                             ids=["below-rounding", "above-rank-gate"])
-    def test_measured_where_the_residual_cannot_settle(self, monkeypatch, copies,
-                                                       epsilon):
-        # At 1e-10 the rounding allowance alone exceeds goal^2; above the
-        # rank gate <U, U> is not formed.
-        U = noisy_repeats(copies, 0.5, epsilon)
-        assert (U.rank > reduction_mod._SNORM_GRAM_MAX_RANK) == (copies > 0)
+    @pytest.mark.parametrize("case", ["below-rounding", "above-rank-gate"])
+    def test_measured_where_the_residual_cannot_settle(self, monkeypatch, case):
+        # Below rounding: W's first term again at weight 0.5, tilted 0.5
+        # goals off W's span, leaves a refit residual with weights near
+        # +-0.5, so at 1e-9 each bound's rounding allowance alone exceeds
+        # goal^2 (the flattening one 6.4 times).  Above the rank gate
+        # neither bound is formed.
+        if case == "below-rounding":
+            epsilon = 1e-9
+            U = tilted_repeat(0.5, epsilon, 0.5, (40, 40, 40))
+        else:
+            epsilon = 1e-3
+            U = noisy_repeats(256, 0.5, epsilon)
+        above = U.rank > reduction_mod._SNORM_GRAM_MAX_RANK
+        assert above == (case == "above-rank-gate")
         goals = goal_calls(monkeypatch)
         res = reduce(U, ReductionConfig(epsilon=epsilon, norm="snorm", algorithm="id"))
         assert len(goals) == 1
@@ -945,3 +968,115 @@ class TestSnormFrobeniusBound:
         res = reduce(U, ReductionConfig(epsilon=1e-10, norm="snorm", algorithm="als"))
         assert res.tolerance_met
         assert s_norm(add(U, scale(res.ctd, -1.0))) <= 1e-10 * s_norm(U)
+
+
+def flattening_norm(T):
+    """Spectral norm of the dense T with its first floor(d/2) dimensions on
+    the rows: the balanced flattening the s-norm bound reads."""
+    h = T.ndim // 2
+    return float(np.linalg.norm(T.reshape(int(np.prod(T.shape[:h])), -1), 2))
+
+
+def dense_snorm(T, starts, sweeps=200):
+    """The largest weight |<T, v_1 x ... x v_d>| that alternating updates on
+    the dense T reach from any of ``starts``: a lower bound on the s-norm,
+    and at least the weight of each start, since no update lowers it."""
+    best = 0.0
+    for start in starts:
+        v = [x / np.linalg.norm(x) for x in start]
+        for _ in range(sweeps):
+            for j in range(T.ndim):
+                t = T
+                for k in reversed(range(T.ndim)):
+                    if k != j:
+                        t = np.tensordot(t, v[k], axes=([k], [0]))
+                weight = float(np.linalg.norm(t))
+                if weight == 0.0:
+                    break
+                v[j] = t / weight
+            best = max(best, weight)
+    return best
+
+
+def cancelling_input(seed):
+    """A small mixed-sign CTD (d = 2-5, modes 2-5) and an epsilon.
+
+    It holds a random signed W with one or two copies at weights in
+    (-2, 2); a pair of terms of weight a whose factors agree but for the
+    first, negated, and the last, theta apart, so that they cancel to a
+    term of norm about a * theta; and a small positive part whose terms are
+    correlated, so its refit residual has a Frobenius norm above its
+    flattening norm.  The goal falls between 1 and 1.5 times the small
+    part's flattening norm.
+    """
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 6))
+    modes = tuple(int(m) for m in rng.integers(2, 6, size=d))
+    W = random_signed_ctd(modes, int(rng.integers(1, 3)), rng)
+    U = W
+    for c in rng.uniform(-2.0, 2.0, size=int(rng.integers(1, 3))):
+        U = add(U, scale(W, c))
+    size = float(rng.choice([1e-3, 1e-5]))
+    a = float(rng.uniform(0.5, 2.0))
+    theta = size / a * float(rng.uniform(0.3, 1.0))
+    first = [rng.uniform(-1.0, 1.0, M) for M in modes]
+    first = [f / np.linalg.norm(f) for f in first]
+    second = list(first)
+    g = rng.standard_normal(modes[-1])
+    g -= (g @ first[-1]) * first[-1]
+    second[-1] = np.cos(theta) * first[-1] + np.sin(theta) * g / np.linalg.norm(g)
+    second[0] = -first[0]
+    U = add(U, CTD(np.array([a, a]), [np.column_stack(p) for p in zip(first, second)]))
+    N = random_ctd(modes, int(rng.integers(2, 5)), low=0.0, high=1.0, rng=rng)
+    U = add(U, scale(N, size / flattening_norm(to_dense(N))))
+    return U, float(rng.uniform(1.0, 1.5)) * size / s_norm(U)
+
+
+class TestSnormFlatteningBound:
+    """The balanced-flattening bound against dense oracles.  For every
+    skeleton it settles, ALS weight <= multi-start dense s-norm <= dense
+    flattening norm <= the reported error; for every skeleton of the input,
+    it does not settle a goal just below the dense flattening norm."""
+
+    def test_within_dense_oracles(self):
+        settled = 0
+        for seed in range(80):
+            U, epsilon = cancelling_input(seed)
+            calls = []
+            bound_of = reduction_mod._flattening_bound
+
+            def recorded(U, L, w, goal):
+                calls.append((w, bound_of(U, L, w, goal)))
+                return calls[-1][1]
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(reduction_mod, "_flattening_bound", recorded)
+                res = reduce(U, ReductionConfig(epsilon=epsilon, norm="snorm",
+                                                algorithm="id"))
+            for w, bound in calls:
+                if bound is None:
+                    continue
+                settled += 1
+                R = CTD(w, U.factors, validate=False)
+                T = to_dense(R)
+                als = rank_one_approx(R)
+                rng = np.random.default_rng(seed)
+                starts = [als.factors] + [[rng.standard_normal(M) for M in U.modes]
+                                          for _ in range(4)]
+                dense = dense_snorm(T, starts)
+                slack = 16 * np.finfo(float).eps * np.sum(np.abs(w))
+                assert als.svalue <= dense + slack, seed
+                assert dense <= flattening_norm(T) + slack, seed
+                reported = res.rel_error * s_norm(U)
+                assert flattening_norm(T) <= reported * (1 + 1e-12), seed
+            half_factor, _ = reduction_mod._split_gram(U)
+            pivots, _, C, _, indefinite = reduction_mod._pivoted_cholesky_lazy(U)
+            assert half_factor is not None and not indefinite, seed
+            for k in range(1, len(pivots) + 1):
+                c = reduction_mod._skeleton_coefficients(C, pivots, k)
+                w = reduction_mod._skeleton_residual(U, pivots[:k], c).svalues
+                below = flattening_norm(to_dense(CTD(w, U.factors, validate=False)))
+                below *= 1 - 1e-9
+                bound = reduction_mod._flattening_bound(U, half_factor, w, below)
+                assert bound is None, seed
+        assert settled >= 5
