@@ -4,7 +4,9 @@ Two algorithms sit behind one entry point, :func:`reduce`:
 
 * alternating least squares (``"als"``): fit a lower-rank CTD by cycling over
   dimensions, each step solving the normal equations whose Gram matrix is the
-  elementwise product of the other dimensions' factor Gram matrices;
+  elementwise product of the other dimensions' factor Gram matrices.  Its
+  fits start from the pivots of the interpolative Cholesky, whose first
+  skeleton within the tolerance caps the ranks fitted;
 * an interpolative variant (``"id"``): pick a skeleton of existing terms by
   pivoted Cholesky on the term Gram matrix and least-squares refit the
   weights.  This keeps original factor columns untouched and is the cheaper
@@ -101,12 +103,13 @@ class ReductionResult:
 
     ``rel_error`` is the error relative to the input, in the configured
     norm.  In the Frobenius norm it is the residual of the returned fit: for
-    ALS the expanded <U-V, U-V>, for the interpolative path the exact
-    residual of the skeleton's least-squares refit, ||U||^2 - ||P_S U||^2,
-    from its Cholesky factor (0 when the remaining terms lie in the
-    skeleton's span to working precision).  Both are differences of inner
-    products, so they resolve errors only down to about sqrt(machine eps)
-    relative.
+    an ALS fit the expanded <U-V, U-V>, for a skeleton the exact residual of
+    its least-squares refit, ||U||^2 - ||P_S U||^2, from its Cholesky factor
+    (0 when the remaining terms lie in the skeleton's span to working
+    precision).  Both are differences of inner products, so they resolve
+    errors only down to about sqrt(machine eps) relative.  The ALS path
+    returns the skeleton of its Cholesky, still as ``"als"``, where no
+    smaller fit meets the tolerance.
 
     An s-norm ``rel_error`` is one of four kinds:
 
@@ -114,7 +117,8 @@ class ReductionResult:
       rounding allowance, is within the tolerance, it is the root of that
       sum, an upper bound on the s-norm error (up to the allowance, an
       estimate; see :func:`_frobenius_bound`).  The interpolative path
-      reads it only below input rank 512.
+      reads it only below input rank 512; ALS reads it for its fits and for
+      the skeleton of its Cholesky.
     * A flattening bound: the interpolative path, below input rank 512,
       also accepts a skeleton whose residual's balanced flattening has
       spectral norm within the tolerance less a rounding allowance (see
@@ -135,10 +139,11 @@ class ReductionResult:
       skeleton of k.  So the estimate does not bound the s-norm error.
 
     ``sweeps`` counts the ALS sweeps of the candidate ranks that were
-    fitted; a rank ALS skips unfitted adds none, and the interpolative path
-    reports 0.  ``tolerance_met`` is False only when a max_rank cap forced a
-    best-effort answer.  ``fallback_to_als`` marks interpolative runs that
-    detected an indefinite Gram matrix and re-ran through ALS.
+    fitted, also when the skeleton is returned; a rank ALS skips unfitted
+    adds none, and the interpolative path reports 0.  ``tolerance_met`` is
+    False only when a max_rank cap forced a best-effort answer.
+    ``fallback_to_als`` marks interpolative runs that detected an indefinite
+    Gram matrix and re-ran through ALS.
     """
 
     ctd: CTD
@@ -403,26 +408,6 @@ class _AlsState:
         return _normalized(self.sv, self.factors)
 
 
-def _distinct_term_order(U, tol=1e-10):
-    """Indices of U's terms, largest s-value first, with terms whose direction
-    repeats an earlier pick deferred to the end.
-
-    Two terms share a direction when the product over dimensions of
-    |<u_j^(a), u_j^(b)>| exceeds 1 - tol.  The products are formed for every
-    pair at once, one r x r factor Gram per dimension multiplied in
-    dimension order, and the sorted terms are then scanned against them.
-    """
-    order = np.argsort(-U.svalues, kind="stable")
-    cos = np.ones((U.rank, U.rank))
-    for F in U.factors:
-        cos *= np.abs(F.T @ F)
-    same = cos > 1.0 - tol
-    picked, deferred = [], []
-    for idx in order:
-        (deferred if same[idx, picked].any() else picked).append(idx)
-    return picked + deferred
-
-
 def _unfolding_spectra(U):
     """Squared singular values of each mode-j unfolding U_(j), largest first,
     one array of length M_j per dimension.
@@ -474,8 +459,8 @@ def _als_fit(U, terms, cfg, uu, norm_target):
     ``terms``; returns (state, fro_residual, sweeps).
 
     Every candidate rank of one reduction starts from a prefix of the same
-    duplicate-aware term order (:func:`_distinct_term_order`), which
-    :func:`_als_reduce` computes once.
+    term order, the pivot order of the Cholesky that :func:`_als_reduce`
+    runs once.
     """
     state = _AlsState(U, U.svalues[terms], [F[:, terms] for F in U.factors])
     goal = cfg.epsilon * norm_target
@@ -493,18 +478,6 @@ def _als_fit(U, terms, cfg, uu, norm_target):
             return state, res, sweeps
         res_prev = res
     return state, res_prev, sweeps
-
-
-def _candidate_ranks(r_in, cap):
-    limit = r_in - 1 if cap is None else min(r_in - 1, cap)
-    ranks = []
-    r = 1
-    while r < limit:
-        ranks.append(r)
-        r *= 2
-    if limit >= 1:
-        ranks.append(limit)
-    return ranks
 
 
 def _result(U, cfg, algorithm, norm_target, accepted, best=None, sweeps=0,
@@ -533,6 +506,15 @@ def _als_reduce(U, cfg, fallback=False):
     """ALS reduction: fit candidate ranks 1, 2, 4, ... until one meets the
     tolerance, then bisect down to the smallest rank that does.
 
+    The term Gram, formed once, gives <U, U> and one pivoted Cholesky
+    (:func:`_pivoted_cholesky_lazy`), run to exhaustion.  Every fit starts
+    from a prefix of its pivots, then of the other terms, largest s-value
+    first; a near-duplicate of a pivot has an updated diagonal of about 0,
+    so it comes late.  The first skeleton within the ``max_rank`` cap whose
+    refit residual meets the goal (in the s-norm, through
+    :func:`_frobenius_bound`) is accepted, and only smaller ranks are
+    fitted.  An indefinite Gram gives no skeleton.
+
     In the Frobenius norm and without a ``max_rank`` cap, a candidate rank
     that the unfolding spectra prove too small (:func:`_rank_floor` above
     goal^2) is counted as failed without being fitted: no ALS fit of that
@@ -540,14 +522,29 @@ def _als_reduce(U, cfg, fallback=False):
     candidate.  The s-norm is not bounded below by it, and a capped reduction
     compares the fitted errors of its failures, so both fit every rank.
     """
-    uu = inner(U, U)
+    G = _cross_gram(U, U)
+    uu = float(U.svalues @ G @ U.svalues)
     if _root(uu) <= 1e-300:
         return _result(U, cfg, "als", 0.0, (0.0, zero_ctd(U.modes)), fallback=fallback)
     norm_target = _root(uu) if cfg.norm == "frobenius" else s_norm(U)
     goal = cfg.epsilon * norm_target
-    order = _distinct_term_order(U)
+    pivots, _, C, residual, indefinite = _pivoted_cholesky_lazy(U, gram=G, uu=uu)
+    del G  # r x r, released before the fits
+    rest = np.setdiff1d(np.arange(U.rank), pivots)
+    order = np.concatenate([pivots, rest[np.argsort(-U.svalues[rest], kind="stable")]])
+    limit = U.rank - 1 if cfg.max_rank is None else min(U.rank - 1, cfg.max_rank)
+    accepted = None
+    hi = limit + 1  # every candidate rank is below it
+    skeletons = 0 if indefinite else min(len(pivots), limit)
+    for k in range(1, skeletons + 1):
+        sq = residual[k - 1]
+        err = _root(sq) if cfg.norm == "frobenius" else _frobenius_bound(sq, U, goal)
+        if err is not None and err <= goal:
+            accepted, hi = (err, _skeleton_ctd_from_cols(U, C, pivots, k)[0]), k
+            break
+    del C  # the Gram columns of every pivot, needed only for the skeleton
     floor = None  # formed only where there is a candidate rank to rule out
-    if cfg.norm == "frobenius" and cfg.max_rank is None and U.rank > 1:
+    if cfg.norm == "frobenius" and cfg.max_rank is None and hi > 1:
         floor = _rank_floor(U)
     total_sweeps = 0
     best = None  # the least-error (error, V) under a max_rank cap
@@ -572,17 +569,17 @@ def _als_reduce(U, cfg, fallback=False):
             best = (err, V)
         return err, V
 
-    # Binary ascent: double the candidate rank until the tolerance is met,
-    # then bisect between the last failure and the first success so exactly
-    # dependent inputs land on their minimal rank.
-    accepted = None
-    lo = 0
-    for r in _candidate_ranks(U.rank, cfg.max_rank):
+    # Binary ascent: double the candidate rank, up to the limit and below
+    # the skeleton's, until the tolerance is met, then bisect between the
+    # last failure and the first success so exactly dependent inputs land on
+    # their minimal rank.
+    lo, r = 0, 1
+    while r < hi:
         fit = try_rank(r)
         if fit is not None and fit[0] <= goal:
             accepted, hi = fit, r
             break
-        lo = r
+        lo, r = r, (min(2 * r, limit) if r < limit else hi)
     while accepted is not None and hi - lo > 1:
         mid = (lo + hi) // 2
         fit = try_rank(mid)

@@ -527,79 +527,31 @@ class TestStoppedCholesky:
         assert_allclose(l_L[S] @ l_L[S].T, G[np.ix_(S, S)], rtol=0, atol=1e-12 * scale_)
 
 
-def pairwise_term_order(U, tol=1e-10):
-    """Reference duplicate-aware term order: the pairwise loop, one scalar
-    product per dimension and pair, that the reduction's all-pairs product
-    must reproduce."""
-    order = np.argsort(-U.svalues, kind="stable")
-    picked, deferred = [], []
-    for idx in order:
-        dup = False
-        for p in picked:
-            c = 1.0
-            for F in U.factors:
-                c *= abs(float(F[:, idx] @ F[:, p]))
-            if c > 1.0 - tol:
-                dup = True
-                break
-        (deferred if dup else picked).append(idx)
-    return picked + deferred
-
-
-def _planted_duplicates(seed, rank, modes, copies, tied):
-    """Random signed CTD plus ``copies`` repeats of its terms, each repeat
-    sign-flipped in one random dimension half the time; with ``tied`` the
-    weights take only the values 1 and 2."""
-    rng = np.random.default_rng(seed)
-    base = random_signed_ctd(modes, rank, rng)
-    cols = np.concatenate([np.arange(rank), rng.integers(0, rank, size=copies)])
-    factors = [np.array(F[:, cols]) for F in base.factors]
-    for t in range(rank, rank + copies):
-        if rng.random() < 0.5:
-            factors[rng.integers(len(modes))][:, t] *= -1.0
-    if tied:
-        sv = rng.choice([1.0, 2.0], size=cols.size)
-    else:
-        sv = base.svalues[cols] * rng.uniform(0.5, 2.0, size=cols.size)
-    return CTD(sv, factors)
-
-
 class TestDistinctTermOrder:
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(
-        st.integers(0, 2**32 - 1),
-        st.integers(1, 8),
-        st.lists(st.integers(2, 5), min_size=1, max_size=4),
-        st.integers(0, 8),
-        st.booleans(),
-    )
-    @example(seed=0, rank=1, modes=[3, 4], copies=0, tied=False)
-    def test_matches_pairwise_loop(self, seed, rank, modes, copies, tied):
-        U = _planted_duplicates(seed, rank, modes, copies, tied)
-        got = [int(i) for i in reduction_mod._distinct_term_order(U)]
-        assert got == [int(i) for i in pairwise_term_order(U)]
-        assert sorted(got) == list(range(U.rank))
+    """ALS starts every fit from the pivot order of one pivoted Cholesky of
+    the term Gram, where a near-duplicate of a pivot comes late."""
 
     def test_formed_once_per_reduction(self, rng, monkeypatch):
-        # Three directions, each twice: the unfolding spectra rule out ranks
-        # 1 and 2, so the ALS ascent fits 4, then bisects to 3, and both
-        # fits start from one term order.
+        # Three directions, each twice: the Cholesky pivots one term of
+        # each, and that rank-3 skeleton meets the goal; the unfolding
+        # spectra rule out ranks 1 and 2, so ALS fits nothing.
         U = three_directions_twice(rng)
-        calls = {"order": 0}
+        calls = {"cholesky": 0}
 
         def counted(fn):
             def wrapper(*args, **kwargs):
-                calls["order"] += 1
+                calls["cholesky"] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(reduction_mod, "_distinct_term_order",
-                            counted(reduction_mod._distinct_term_order))
+        monkeypatch.setattr(reduction_mod, "_pivoted_cholesky_lazy",
+                            counted(reduction_mod._pivoted_cholesky_lazy))
         fitted = record_fitted_ranks(monkeypatch)
         res = reduce(U, ReductionConfig(epsilon=1e-6, algorithm="als"))
         assert res.rank == 3
-        assert fitted == [4, 3]
-        assert calls["order"] == 1
+        assert res.algorithm == "als"
+        assert fitted == []
+        assert calls["cholesky"] == 1
 
 
 def three_directions_twice(rng):
@@ -694,13 +646,14 @@ class TestRankFloor:
             assert tails[k] <= np.sum((dense - to_dense(V)) ** 2) * (1 + 1e-12)
 
     @pytest.mark.parametrize("kwargs, ranks", [
-        ({"norm": "snorm"}, [1, 2, 4, 3]),
+        ({"norm": "snorm"}, [1, 2]),
         ({"norm": "frobenius", "max_rank": 2}, [1, 2]),
         ({"norm": "snorm", "max_rank": 2}, [1, 2]),
     ])
     def test_snorm_and_capped_fit_every_rank(self, rng, monkeypatch, kwargs, ranks):
         # Outside the uncapped Frobenius norm the floor is never formed, and
-        # every candidate rank of the ascent is fitted.
+        # every candidate rank of the ascent is fitted: in the s-norm those
+        # below the rank-3 skeleton, which the cap of 2 rules out.
         U = three_directions_twice(rng)
 
         def no_floor(_):
@@ -770,6 +723,20 @@ def _dependent_ctd(seed, rank, modes, copies, noise):
     return U
 
 
+def exact_rank_ctd(seed):
+    """(k, U): U is k = 1-5 random signed terms on 2-4 dimensions of size
+    3-5, stored with 1-3 repeats of all of them at weights in (-2, 2), all
+    drawn from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    rank = int(rng.integers(1, 6))
+    modes = [int(m) for m in rng.integers(3, 6, size=int(rng.integers(2, 5)))]
+    W = random_signed_ctd(modes, rank, rng)
+    U = W
+    for c in rng.uniform(-2.0, 2.0, size=int(rng.integers(1, 4))):
+        U = add(U, scale(W, c))
+    return rank, U
+
+
 _dependent_args = (
     st.integers(0, 2**32 - 1),
     st.integers(1, 5),
@@ -833,6 +800,31 @@ class TestFrobeniusContract:
         assert res.rank == rank
         assert res.tolerance_met
         assert dense_rel_error(U, res.ctd) <= epsilon
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1))
+    @example(seed=26)  # modes 4 x 3 x 4, rank 5 stored as 10
+    def test_als_exact_rank_reduces_to_it(self, seed):
+        # An exact ALS fit's expanded residual has a rounding floor near
+        # sqrt(eps) ||U||, above the goal at 1e-8, so every fit of rank k read
+        # as a miss and ALS alone returned more than k terms, or the input.
+        rank, U = exact_rank_ctd(seed)
+        res = reduce(U, ReductionConfig(epsilon=1e-8, algorithm="als"))
+        assert res.rank <= rank
+        assert res.tolerance_met
+        assert dense_rel_error(U, res.ctd) <= 1e-8
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(*_dependent_args, st.sampled_from([0.0, 1e-9, 1e-6, 1e-4, 1e-2]),
+           st.sampled_from([1e-3, 1e-6, 1e-8]))
+    def test_als_rank_at_most_the_id_rank(self, seed, rank, modes, copies, noise,
+                                          epsilon):
+        # ALS reads the same refit residuals as the ID and accepts its
+        # skeleton before fitting any smaller rank.
+        U = _dependent_ctd(seed, rank, modes, copies, noise)
+        als = reduce(U, ReductionConfig(epsilon=epsilon, algorithm="als"))
+        interpolative = reduce(U, ReductionConfig(epsilon=epsilon, algorithm="id"))
+        assert als.rank <= interpolative.rank
 
     def test_many_small_residuals_are_refit_not_estimated(self):
         # One spike plus 300 terms a little off its direction: their
