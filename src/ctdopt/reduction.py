@@ -1,25 +1,20 @@
 """Separation-rank reduction of CTDs.
 
-Two algorithms sit behind one entry point, :func:`reduce`:
+One entry point, :func:`reduce`, forms the norm target, runs one skeleton
+search and hands it to one of two algorithms:
 
-* alternating least squares (``"als"``): fit a lower-rank CTD by cycling over
-  dimensions, each step solving the normal equations whose Gram matrix is the
-  elementwise product of the other dimensions' factor Gram matrices.  Its
-  fits start from the pivots of the interpolative Cholesky, whose first
-  skeleton within the tolerance caps the ranks fitted;
-* an interpolative variant (``"id"``): pick a skeleton of existing terms by
-  pivoted Cholesky on the term Gram matrix and least-squares refit the
-  weights.  This keeps original factor columns untouched and is the cheaper
-  route when the input terms are nearly dependent.  In the Frobenius norm
-  the Gram matrix is formed once, with <U, U>, and the factorization tracks
-  the exact residual of the refit on its pivots; in the s-norm the
-  factorization never reads a formed Gram: it reads the diagonal and fetches
-  the column of each pivot, so its cost grows with the skeleton size, not
-  with the square of the input rank.  Below input rank 512 the search also
-  forms the half Grams of a balanced split of the dimensions once, at its
-  first unsettled skeleton; they give <U, U>, and so the refit's Frobenius
-  residual, and the spectral norm of the residual's balanced flattening.
-  Both bound the s-norm error from above.
+* the search picks a skeleton of existing terms by pivoted Cholesky on the
+  term Gram matrix and least-squares refits the weights.  In the Frobenius
+  norm and for ALS it reads a formed Gram and tracks the exact residual of
+  the refit on its pivots; the interpolative s-norm search fetches only the
+  Gram columns it pivots on, and below input rank 512 bounds its skeletons
+  from the half Grams of a balanced split (:func:`_snorm_skeleton`);
+* the interpolative variant (``"id"``) returns that skeleton, whose factor
+  columns are input columns, untouched;
+* alternating least squares (``"als"``) fits lower-rank CTDs below it,
+  started from the search's pivots, by cycling over dimensions, each step
+  solving the normal equations whose Gram matrix is the elementwise product
+  of the other dimensions' factor Gram matrices.
 
 The reduction target can be measured in the Frobenius norm or in the s-norm
 (the weight of the best rank-one separated approximation).  The s-norm never
@@ -42,7 +37,6 @@ __all__ = [
     "RankOneApprox",
     "reduce",
     "als_sweep",
-    "interpolative_reduce",
     "s_norm",
     "rank_one_approx",
     "norm_of_difference",
@@ -107,9 +101,9 @@ class ReductionResult:
     its least-squares refit, ||U||^2 - ||P_S U||^2, from its Cholesky factor
     (0 when the remaining terms lie in the skeleton's span to working
     precision).  Both are differences of inner products, so they resolve
-    errors only down to about sqrt(machine eps) relative.  The ALS path
-    returns the skeleton of its Cholesky, still as ``"als"``, where no
-    smaller fit meets the tolerance.
+    errors only down to about sqrt(machine eps) relative.  ALS returns the
+    search's skeleton, still as ``"als"``, where no smaller fit meets the
+    tolerance.
 
     An s-norm ``rel_error`` is one of four kinds:
 
@@ -118,7 +112,7 @@ class ReductionResult:
       sum, an upper bound on the s-norm error (up to the allowance, an
       estimate; see :func:`_frobenius_bound`).  The interpolative path
       reads it only below input rank 512; ALS reads it for its fits and for
-      the skeleton of its Cholesky.
+      the skeletons of its search.
     * A flattening bound: the interpolative path, below input rank 512,
       also accepts a skeleton whose residual's balanced flattening has
       spectral norm within the tolerance less a rounding allowance (see
@@ -127,7 +121,7 @@ class ReductionResult:
     * An ALS lower bound: otherwise a measured error is the weight of a
       single-start rank-one fit, a lower bound on the s-norm of the
       difference; the interpolative path measures it on the input's own
-      terms (see :func:`interpolative_reduce`), ALS on the concatenated
+      terms (see :func:`_snorm_skeleton`), ALS on the concatenated
       difference.
     * A mass estimate: the interpolative path accepts a skeleton on its
       Cholesky estimate without a bound or a measurement where that meets
@@ -143,7 +137,7 @@ class ReductionResult:
     adds none, and the interpolative path reports 0.  ``tolerance_met`` is
     False only when a max_rank cap forced a best-effort answer.
     ``fallback_to_als`` marks interpolative runs that detected an indefinite
-    Gram matrix and re-ran through ALS.
+    Gram matrix and fell back to ALS.
     """
 
     ctd: CTD
@@ -454,16 +448,16 @@ def _rank_floor(U):
     return floor - allowance
 
 
-def _als_fit(U, terms, cfg, uu, norm_target):
+def _als_fit(U, terms, cfg, uu, goal):
     """Fit a rank-``len(terms)`` CTD to U by ALS, started from U's terms
-    ``terms``; returns (state, fro_residual, sweeps).
+    ``terms``, until its Frobenius residual meets ``goal`` or stalls;
+    returns (state, fro_residual, sweeps).
 
     Every candidate rank of one reduction starts from a prefix of the same
-    term order, the pivot order of the Cholesky that :func:`_als_reduce`
-    runs once.
+    term order, the pivot order of the search's Cholesky (see
+    :func:`_als_reduce`).
     """
     state = _AlsState(U, U.svalues[terms], [F[:, terms] for F in U.factors])
-    goal = cfg.epsilon * norm_target
     stall = 1e-3 * cfg.epsilon * max(np.sqrt(uu), 1e-300)
     res_prev = state.residual(uu)
     sweeps = 0
@@ -502,18 +496,21 @@ def _result(U, cfg, algorithm, norm_target, accepted, best=None, sweeps=0,
                            algorithm, cfg.norm, fallback_to_als=fallback)
 
 
-def _als_reduce(U, cfg, fallback=False):
-    """ALS reduction: fit candidate ranks 1, 2, 4, ... until one meets the
-    tolerance, then bisect down to the smallest rank that does.
+def _als_reduce(U, cfg, uu, goal, pivots, skeleton, k):
+    """ALS fits below the search's skeleton: fit candidate ranks 1, 2, 4,
+    ... until one meets the tolerance, then bisect down to the smallest rank
+    that does.  Returns (accepted, best, sweeps) for :func:`_result`.
 
-    The term Gram, formed once, gives <U, U> and one pivoted Cholesky
-    (:func:`_pivoted_cholesky_lazy`), run to exhaustion.  Every fit starts
-    from a prefix of its pivots, then of the other terms, largest s-value
-    first; a near-duplicate of a pivot has an updated diagonal of about 0,
-    so it comes late.  The first skeleton within the ``max_rank`` cap whose
-    refit residual meets the goal (in the s-norm, through
-    :func:`_frobenius_bound`) is accepted, and only smaller ranks are
-    fitted.  An indefinite Gram gives no skeleton.
+    ``skeleton`` is the (error, V) of the skeleton of rank ``k`` that the
+    search (:func:`_gram_skeleton`) accepted, or None where it accepted
+    none.  Only ranks below k, and within the ``max_rank`` cap, are fitted,
+    and the skeleton is accepted where no smaller fit meets the tolerance.
+    Every fit starts from a prefix of the search's pivots, then of the other
+    terms, largest s-value first; a near-duplicate of a pivot has an updated
+    diagonal of about 0, so it comes late.  A fit below k reads only pivots,
+    so a search stopped at k gives the same fits as one run to exhaustion.
+    ``uu`` is <U, U>, formed with the search's Gram, and ``goal`` the
+    absolute tolerance.
 
     In the Frobenius norm and without a ``max_rank`` cap, a candidate rank
     that the unfolding spectra prove too small (:func:`_rank_floor` above
@@ -522,27 +519,11 @@ def _als_reduce(U, cfg, fallback=False):
     candidate.  The s-norm is not bounded below by it, and a capped reduction
     compares the fitted errors of its failures, so both fit every rank.
     """
-    G = _cross_gram(U, U)
-    uu = float(U.svalues @ G @ U.svalues)
-    if _root(uu) <= 1e-300:
-        return _result(U, cfg, "als", 0.0, (0.0, zero_ctd(U.modes)), fallback=fallback)
-    norm_target = _root(uu) if cfg.norm == "frobenius" else s_norm(U)
-    goal = cfg.epsilon * norm_target
-    pivots, _, C, residual, indefinite = _pivoted_cholesky_lazy(U, gram=G, uu=uu)
-    del G  # r x r, released before the fits
     rest = np.setdiff1d(np.arange(U.rank), pivots)
     order = np.concatenate([pivots, rest[np.argsort(-U.svalues[rest], kind="stable")]])
     limit = U.rank - 1 if cfg.max_rank is None else min(U.rank - 1, cfg.max_rank)
-    accepted = None
-    hi = limit + 1  # every candidate rank is below it
-    skeletons = 0 if indefinite else min(len(pivots), limit)
-    for k in range(1, skeletons + 1):
-        sq = residual[k - 1]
-        err = _root(sq) if cfg.norm == "frobenius" else _frobenius_bound(sq, U, goal)
-        if err is not None and err <= goal:
-            accepted, hi = (err, _skeleton_ctd_from_cols(U, C, pivots, k)[0]), k
-            break
-    del C  # the Gram columns of every pivot, needed only for the skeleton
+    accepted = skeleton
+    hi = limit + 1 if skeleton is None else k  # every candidate rank is below it
     floor = None  # formed only where there is a candidate rank to rule out
     if cfg.norm == "frobenius" and cfg.max_rank is None and hi > 1:
         floor = _rank_floor(U)
@@ -554,7 +535,7 @@ def _als_reduce(U, cfg, fallback=False):
         nonlocal total_sweeps, best
         if floor is not None and floor[r] > goal * goal:
             return None
-        state, fro_res, sweeps = _als_fit(U, order[:r], cfg, uu, norm_target)
+        state, fro_res, sweeps = _als_fit(U, order[:r], cfg, uu, goal)
         total_sweeps += sweeps
         V = state.to_ctd()
         # In the s-norm the Frobenius residual, an upper bound, settles the
@@ -587,7 +568,7 @@ def _als_reduce(U, cfg, fallback=False):
             accepted, hi = fit, mid
         else:
             lo = mid
-    return _result(U, cfg, "als", norm_target, accepted, best, total_sweeps, fallback)
+    return accepted, best, total_sweeps
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +611,8 @@ def _pivoted_cholesky_lazy(U, bound=None, gram=None, uu=None, max_pivots=None):
     updated diagonal over unselected indices after eliminating pivot k.
 
     With ``gram``, the unweighted term Gram (:func:`~ctdopt.ctd._cross_gram`
-    of U with itself), and ``uu`` = <U, U> formed from it, the columns are
+    of U with itself), and ``uu`` = <U, U> formed from it, as
+    :func:`_gram_skeleton` passes them for both algorithms, the columns are
     read from that matrix, and ``remaining[k]`` is
     ``uu - sum_{i <= k} (1^T L[:, i])^2``, the squared Frobenius residual
     of the least-squares refit of U on the first k+1 pivots.  A
@@ -642,12 +624,12 @@ def _pivoted_cholesky_lazy(U, bound=None, gram=None, uu=None, max_pivots=None):
     every unselected term lies in the skeleton's span to working precision.
     ``max_pivots`` caps the number of pivots.
 
-    Without a ``bound`` it factors until the diagonal is exhausted.  With one
-    it stops after the first pivot k with ``sqrt(max(remaining[k], 0))`` at
-    most ``bound``; the output is then a bitwise prefix of the full
-    factorization.  Past that point the unselected mass is roundoff, which
-    can dip below the negative band of a PSD Gram and would flag it as
-    indefinite.
+    Without a ``bound`` it factors until the diagonal is exhausted or the
+    ``max_pivots`` cap is reached.  With one it stops after the first pivot k
+    with ``sqrt(max(remaining[k], 0))`` at most ``bound``.  A capped or
+    bounded run is a bitwise prefix of the full factorization.  Past that
+    point the unselected mass is roundoff, which can dip below the negative
+    band of a PSD Gram and would flag it as indefinite.
     """
     r = U.rank
     d = _gram_diag(U)
@@ -882,102 +864,77 @@ def _flattening_bound(U, L, w, goal):
     return goal if _cholesky_in_place(Y) else None
 
 
-def interpolative_reduce(U, cfg):
-    """Skeleton-based reduction via pivoted Cholesky on the term Gram matrix.
+def _term_gram(U):
+    """The unweighted term Gram G of U and <U, U> = s^T G s, as
+    :func:`~ctdopt.ctd.inner` forms it."""
+    G = _cross_gram(U, U)
+    return G, float(U.svalues @ G @ U.svalues)
 
-    In the Frobenius norm the unweighted term Gram is formed once, and
-    <U, U> from it as :func:`~ctdopt.ctd.inner` forms it.  The Cholesky
-    reads its pivot columns from that matrix and tracks the exact squared
-    residual of the least-squares refit on its pivots so far, ||U||^2 -
-    ||P_S U||^2 (the Nystrom identity ||P_S U||^2 = ||L^T 1||^2, see
-    :func:`_pivoted_cholesky_lazy`).  It stops at the first skeleton whose
-    residual meets the tolerance, or at the ``max_rank`` cap, or when its
-    diagonal is exhausted, which accepts too: exactly dependent terms leave
-    a residual of roundoff.  That skeleton is refit once, and ``rel_error``
-    is its residual, relative to ||U||.  Because the residual falls as the
-    skeleton grows, a capped search keeps the largest skeleton within the
-    cap.  The residual is a difference of two sums of size ||U||^2, so it is
-    exact only down to about sqrt(machine eps) relative.
 
-    In the s-norm the Cholesky reads no formed Gram matrix: it fetches only
-    the Gram columns it pivots on, so its cost scales with the skeleton size
-    times r.  The search starts at the first skeleton whose unselected
-    diagonal mass is at most (epsilon * ||U||_s)^2.  A skeleton whose
-    unselected mass meets the tolerance with a tenfold margin is accepted
-    on that estimate (see :class:`ReductionResult` for why it is not a
-    bound); otherwise its error is measured, and the skeleton grows further
-    if it still exceeds the tolerance.  The Cholesky stops at that estimate,
-    because no skeleton past it is ever tried.  Up to input rank 512
-    (``_SNORM_GRAM_MAX_RANK``), a skeleton that the estimate does not
-    settle is first bounded from above, from the half Grams of U's balanced
-    split (:func:`_split_gram`), formed once per reduction, at its first
-    such skeleton; they also give <U, U>.  Two bounds are tried in turn: the
-    refit's Frobenius residual, <U, U> - ||L^T 1||^2 from the Cholesky
-    factor L (:func:`_frobenius_bound`), then the spectral norm of the
-    residual's balanced flattening (:func:`_flattening_bound`).  Since ALS
-    weight <= s-norm <= flattening norm <= Frobenius norm, a skeleton either
-    bound settles is one ALS would accept too, and it is accepted without
-    ALS.  Above the gate, and where neither bound settles it, the error is
-    measured on the input's own terms (:func:`_skeleton_residual`): the
-    skeleton's terms are input terms, so U - V is U with the weights
-    s_i - c_i s_i on the skeleton, where c is the refit's solution, and a
-    measurement holds no second copy of U.
-    Under a ``max_rank`` cap the best skeleton is chosen by measured error.
-    A measurement stops once it exceeds the goal, so these errors are lower
-    bounds, and so is the ``rel_error`` reported with a capped result.
+def _gram_skeleton(U, cfg, goal, G, uu):
+    """The skeleton search on the formed term Gram ``G``, with uu = <U, U>,
+    of both algorithms in the Frobenius norm and of ALS, a fallback
+    included, in the s-norm.
 
-    In both norms only the returned skeleton is built as a CTD, and an
-    indefinite Gram matrix falls back to the ALS path with a warning flag.
+    One pivoted Cholesky (:func:`_pivoted_cholesky_lazy`) of at most
+    min(r - 1, max_rank) pivots tracks the exact squared residual of the
+    least-squares refit on its pivots, ||U||^2 - ||P_S U||^2.  The first
+    skeleton whose residual meets the goal is accepted: in the Frobenius
+    norm its root, at which the Cholesky stops, and in the s-norm the bound
+    :func:`_frobenius_bound` makes of it, so there the Cholesky runs to the
+    cap.  An exhausted diagonal leaves a residual of 0, which accepts.  The
+    residual falls as the skeleton grows, so a Frobenius search that accepts
+    none keeps its largest skeleton as ``best``.
+
+    Returns (pivots, C, accepted, best, indefinite), each of ``accepted``
+    and ``best`` a skeleton (error, k) or None.  An indefinite Gram gives
+    neither, and the pivots found before the break.
     """
-    if cfg.norm == "frobenius":
-        G = _cross_gram(U, U)
-        uu = float(U.svalues @ G @ U.svalues)
-        norm_target = _root(uu)
-    else:
-        norm_target = s_norm(U)
-    if norm_target <= 1e-300:
-        return _result(U, cfg, "id", 0.0, (0.0, zero_ctd(U.modes)))
-    goal = cfg.epsilon * norm_target
-    if cfg.norm == "frobenius":
-        search = _frobenius_skeleton(U, cfg, goal, G, uu)
-        del G  # r x r, released before the skeleton is built
-    else:
-        search = _snorm_skeleton(U, cfg, goal)
-    if search is None:
-        return _als_reduce(U, cfg, fallback=True)
-    pivots, C, accepted, best = search
-
-    def built(found):
-        """(error, V) for a skeleton (error, k) of the search."""
-        if found is None:
-            return None
-        return found[0], _skeleton_ctd_from_cols(U, C, pivots, found[1])[0]
-
-    capped = cfg.max_rank is not None and cfg.max_rank < U.rank
-    return _result(U, cfg, "id", norm_target, built(accepted),
-                   built(best) if accepted is None and capped else None)
-
-
-def _frobenius_skeleton(U, cfg, goal, G, uu):
-    """The Frobenius skeleton search of :func:`interpolative_reduce`, on the
-    unweighted term Gram ``G`` and ``uu`` = <U, U>.
-
-    Returns None for an indefinite Gram, else (pivots, C, accepted, best)
-    with each of the last two a skeleton (error, k) or None.
-    """
+    frobenius = cfg.norm == "frobenius"
     cap = U.rank - 1 if cfg.max_rank is None else min(U.rank - 1, cfg.max_rank)
     pivots, _, C, residual, indefinite = _pivoted_cholesky_lazy(
-        U, goal, gram=G, uu=uu, max_pivots=cap)
+        U, goal if frobenius else None, gram=G, uu=uu, max_pivots=cap)
     if indefinite:
-        return None
-    if not len(pivots):
-        return pivots, C, None, None
-    found = (_root(residual[-1]), len(pivots))
-    return (pivots, C, found, None) if found[0] <= goal else (pivots, C, None, found)
+        return pivots, C, None, None, True
+    for k, sq in enumerate(residual, 1):
+        err = _root(sq) if frobenius else _frobenius_bound(sq, U, goal)
+        if err is not None and err <= goal:
+            return pivots, C, (err, k), None, False
+    best = (_root(residual[-1]), len(pivots)) if frobenius and len(pivots) else None
+    return pivots, C, None, best, False
 
 
 def _snorm_skeleton(U, cfg, goal):
-    """The s-norm skeleton search of :func:`interpolative_reduce`.
+    """The s-norm skeleton search of the interpolative path.
+
+    The Cholesky reads no formed Gram matrix: it fetches only the Gram
+    columns it pivots on, so its cost scales with the skeleton size times r.
+    The search starts at the first skeleton whose unselected diagonal mass
+    is at most (epsilon * ||U||_s)^2.  A skeleton whose unselected mass
+    meets the tolerance with a tenfold margin is accepted on that estimate
+    (see :class:`ReductionResult` for why it is not a bound); otherwise its
+    error is measured, and the skeleton grows further if it still exceeds
+    the tolerance.  The Cholesky stops at that estimate, because no skeleton
+    past it is ever tried.
+
+    Up to input rank 512 (``_SNORM_GRAM_MAX_RANK``), a skeleton that the
+    estimate does not settle is first bounded from above, from the half
+    Grams of U's balanced split (:func:`_split_gram`), formed once per
+    reduction, at its first such skeleton; they also give <U, U>.  Two
+    bounds are tried in turn: the refit's Frobenius residual, <U, U> -
+    ||L^T 1||^2 from the Cholesky factor L (:func:`_frobenius_bound`), then
+    the spectral norm of the residual's balanced flattening
+    (:func:`_flattening_bound`).  Since ALS weight <= s-norm <= flattening
+    norm <= Frobenius norm, a skeleton either bound settles is one ALS would
+    accept too, and it is accepted without ALS.  Above the gate, and where
+    neither bound settles it, the error is measured on the input's own terms
+    (:func:`_skeleton_residual`): the skeleton's terms are input terms, so
+    U - V is U with the weights s_i - c_i s_i on the skeleton, where c is
+    the refit's solution, and a measurement holds no second copy of U.
+
+    Under a ``max_rank`` cap the best skeleton is chosen by measured error.
+    A measurement stops once it exceeds the goal, so these errors are lower
+    bounds, and so is the ``rel_error`` reported with a capped result.
 
     Returns None for an indefinite Gram, else (pivots, C, accepted, best)
     with each of the last two a skeleton (error, k) or None; ``best`` is
@@ -1032,6 +989,21 @@ def _snorm_skeleton(U, cfg, goal):
     return pivots, C, accepted, best
 
 
+def _built(U, C, pivots, found):
+    """(error, V) for a skeleton (error, k) of a search, or None."""
+    if found is None:
+        return None
+    return found[0], _skeleton_ctd_from_cols(U, C, pivots, found[1])[0]
+
+
+def _skeleton_result(U, cfg, norm_target, pivots, C, accepted, best):
+    """The interpolative result of a search's skeletons (error, k); only the
+    returned one is built as a CTD."""
+    capped = cfg.max_rank is not None and cfg.max_rank < U.rank
+    return _result(U, cfg, "id", norm_target, _built(U, C, pivots, accepted),
+                   _built(U, C, pivots, best) if accepted is None and capped else None)
+
+
 def reduce(U, cfg):
     """Reduce the separation rank of U subject to the configured tolerance.
 
@@ -1039,17 +1011,45 @@ def reduce(U, cfg):
     configured norm, with rank(V) <= rank(U); when no strictly smaller rank
     achieves the bound (and no cap intervenes), U itself is returned
     renormalized.  See :class:`ReductionResult` for the attached metadata.
+
+    Both algorithms share this front end: it forms the norm target ||U||,
+    exits on a zero input (rank 0 included), sets the goal epsilon * ||U||
+    and runs one skeleton search, :func:`_snorm_skeleton` for the
+    interpolative path in the s-norm, else :func:`_gram_skeleton` on the
+    term Gram formed for it.  The interpolative path returns the search's
+    skeleton; ALS fits only below it (:func:`_als_reduce`).  An
+    interpolative search that meets an indefinite Gram falls back to ALS,
+    flagged: in the Frobenius norm with the search already run, in the
+    s-norm with a search of the formed Gram.
     """
     if not isinstance(cfg, ReductionConfig):
         raise TypeError("cfg must be a ReductionConfig")
-    if cfg.norm == "frobenius" and cfg.epsilon < 1e-8:
+    frobenius, als = cfg.norm == "frobenius", cfg.algorithm == "als"
+    if frobenius and cfg.epsilon < 1e-8:
         warnings.warn(
             "Frobenius-norm reduction below 1e-8 relative tolerance is not "
             "certifiable in double precision; consider norm='snorm'",
             stacklevel=2,
         )
-    # Both paths catch a zero input, rank 0 included, from the norm they
-    # form anyway.
-    if cfg.algorithm == "id":
-        return interpolative_reduce(U, cfg)
-    return _als_reduce(U, cfg)
+    G = uu = None
+    if frobenius or als:
+        G, uu = _term_gram(U)
+    norm_target = _root(uu) if frobenius else s_norm(U)
+    if norm_target <= 1e-300:  # a zero input, rank 0 included
+        return _result(U, cfg, cfg.algorithm, 0.0, (0.0, zero_ctd(U.modes)))
+    goal = cfg.epsilon * norm_target
+    if G is None:
+        search = _snorm_skeleton(U, cfg, goal)
+        if search is not None:
+            return _skeleton_result(U, cfg, norm_target, *search)
+        G, uu = _term_gram(U)  # an indefinite Gram: ALS searches the formed one
+    pivots, C, accepted, best, indefinite = _gram_skeleton(U, cfg, goal, G, uu)
+    del G  # r x r, released before any skeleton is built
+    if frobenius and not als and not indefinite:
+        return _skeleton_result(U, cfg, norm_target, pivots, C, accepted, best)
+    skeleton = _built(U, C, pivots, accepted)
+    del C  # the Gram columns of every pivot, needed only for the skeleton
+    k = None if accepted is None else accepted[1]
+    return _result(U, cfg, "als", norm_target,
+                   *_als_reduce(U, cfg, uu, goal, pivots, skeleton, k),
+                   fallback=not als)

@@ -12,7 +12,6 @@ from ctdopt import (
     als_sweep,
     frobenius_norm,
     inner,
-    interpolative_reduce,
     norm_of_difference,
     random_ctd,
     rank_one_approx,
@@ -236,19 +235,23 @@ class TestInterpolative:
         bump = scale(random_signed_ctd((8, 8), 3, rng), 1e-5)
         U = add(base, bump)
         cfg = ReductionConfig(epsilon=1e-3, norm="snorm", algorithm="id")
-        res = interpolative_reduce(U, cfg)
+        res = reduce(U, cfg)
         assert res.rank < U.rank
         sigma = np.linalg.svd(to_dense(U) - to_dense(res.ctd), compute_uv=False)
         assert sigma[0] <= 1e-3 * s_norm(U)
 
     def test_indefinite_gram_falls_back(self, rng, monkeypatch):
+        # The Frobenius search that met the indefinite Gram is handed to
+        # ALS, so the Gram and its Cholesky are each formed once.
         U = random_signed_ctd((4, 4), 3, rng)
         bad = np.array(reduction_mod._gram_diag(U))
         bad[0] = -1.0  # force an indefinite diagonal
         monkeypatch.setattr(reduction_mod, "_gram_diag", lambda _: bad)
-        res = interpolative_reduce(U, ReductionConfig(epsilon=1e-6))
+        calls = count_calls(monkeypatch, "_cross_gram", "_pivoted_cholesky_lazy")
+        res = reduce(U, ReductionConfig(epsilon=1e-6))
         assert res.fallback_to_als
         assert res.tolerance_met
+        assert calls == {"_cross_gram": 1, "_pivoted_cholesky_lazy": 1}
 
     def test_psd_gram_not_flagged_indefinite(self):
         # The first square of this spike-search instance has rank 10 and a
@@ -259,7 +262,7 @@ class TestInterpolative:
         U, _ = plant_spike(background_instance(6, 32, 3, rng), rng, spike_to=3.5)
         Q = square(scale(U, 1.0 / frobenius_norm(U)))
         assert Q.rank == 10
-        res = interpolative_reduce(Q, ReductionConfig(epsilon=1e-6))
+        res = reduce(Q, ReductionConfig(epsilon=1e-6))
         assert res.fallback_to_als is False
         assert res.rank == 7
         assert res.tolerance_met
@@ -536,22 +539,81 @@ class TestDistinctTermOrder:
         # each, and that rank-3 skeleton meets the goal; the unfolding
         # spectra rule out ranks 1 and 2, so ALS fits nothing.
         U = three_directions_twice(rng)
-        calls = {"cholesky": 0}
-
-        def counted(fn):
-            def wrapper(*args, **kwargs):
-                calls["cholesky"] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(reduction_mod, "_pivoted_cholesky_lazy",
-                            counted(reduction_mod._pivoted_cholesky_lazy))
+        calls = count_calls(monkeypatch, "_pivoted_cholesky_lazy")
         fitted = record_fitted_ranks(monkeypatch)
         res = reduce(U, ReductionConfig(epsilon=1e-6, algorithm="als"))
         assert res.rank == 3
         assert res.algorithm == "als"
         assert fitted == []
-        assert calls["cholesky"] == 1
+        assert calls["_pivoted_cholesky_lazy"] == 1
+
+    @pytest.mark.parametrize("norm", ["frobenius", "snorm"])
+    @pytest.mark.parametrize("terms, ndim, points, widths", [
+        (12, 3, 10, (0.5, 20.0)),
+        (10, 4, 8, (0.3, 8.0)),
+    ])
+    def test_stopped_search_changes_no_fit(self, monkeypatch, norm, terms, ndim,
+                                           points, widths):
+        # The search's Cholesky stops at the Frobenius skeleton, or at
+        # rank(U) - 1 pivots, short of exhaustion.  Every ALS fit is below
+        # the skeleton and reads only a prefix of its pivots, so the result
+        # is bitwise that of a search factored to exhaustion.
+        U = gaussian_sum(terms, ndim, points, widths)
+        cfg = ReductionConfig(epsilon=1e-4, norm=norm, algorithm="als")
+        skeleton = reduce(U, ReductionConfig(epsilon=1e-4)).rank
+        cholesky = reduction_mod._pivoted_cholesky_lazy
+        pivots = []
+
+        def factor(full):
+            def run(U, bound=None, gram=None, uu=None, max_pivots=None):
+                if full:
+                    bound = max_pivots = None
+                out = cholesky(U, bound, gram=gram, uu=uu, max_pivots=max_pivots)
+                pivots.append(len(out[0]))
+                return out
+            return run
+
+        fitted = record_fitted_ranks(monkeypatch)
+        monkeypatch.setattr(reduction_mod, "_pivoted_cholesky_lazy", factor(False))
+        stopped = reduce(U, cfg)
+        monkeypatch.setattr(reduction_mod, "_pivoted_cholesky_lazy", factor(True))
+        full = reduce(U, cfg)
+        assert fitted and max(fitted) < skeleton
+        assert pivots[0] < pivots[1]
+        if norm == "frobenius":
+            assert pivots[0] <= skeleton < pivots[1]
+        assert stopped.sweeps == full.sweeps
+        assert stopped.rel_error == full.rel_error
+        assert np.array_equal(stopped.ctd.svalues, full.ctd.svalues)
+        for got, want in zip(stopped.ctd.factors, full.ctd.factors):
+            assert np.array_equal(got, want)
+
+
+def count_calls(monkeypatch, *names):
+    """Patch each named function of the reduction module to count its calls
+    into the returned dict."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(reduction_mod, name, counted(name, getattr(reduction_mod, name)))
+    return calls
+
+
+def gaussian_sum(terms, ndim, points, widths):
+    """Equal-weight sum of ``terms`` separable Gaussians exp(-a x^2) on
+    ``points`` points of [-1, 1] per dimension, with widths a spaced
+    geometrically over ``widths``: numerically of low rank, and fitted by
+    ALS in fewer terms than its Frobenius skeleton."""
+    x = np.linspace(-1.0, 1.0, points)
+    F = np.exp(-np.outer(x * x, np.geomspace(*widths, terms)))
+    F /= np.linalg.norm(F, axis=0)
+    return CTD(np.ones(terms), [F.copy() for _ in range(ndim)])
 
 
 def three_directions_twice(rng):
@@ -747,7 +809,7 @@ _dependent_args = (
 
 def frobenius_id_pivots(U, epsilon):
     """The pivots and Gram columns of the Frobenius ID search on U at
-    ``epsilon``, as :func:`interpolative_reduce` factors them."""
+    ``epsilon``, as :func:`reduce` factors them."""
     G = _cross_gram(U, U)
     uu = float(U.svalues @ G @ U.svalues)
     goal = epsilon * np.sqrt(uu)
