@@ -3,12 +3,13 @@
 One entry point, :func:`reduce`, forms the norm target, runs one skeleton
 search and hands it to one of two algorithms:
 
-* the search picks a skeleton of existing terms by pivoted Cholesky on the
-  term Gram matrix and least-squares refits the weights.  In the Frobenius
-  norm and for ALS it reads a formed Gram and tracks the exact residual of
-  the refit on its pivots; the interpolative s-norm search fetches only the
-  Gram columns it pivots on, and below input rank 512 bounds its skeletons
-  from the half Grams of a balanced split (:func:`_snorm_skeleton`);
+* the search (:func:`_skeleton_search`) picks a skeleton of existing terms
+  by one pivoted Cholesky on the term Gram matrix and least-squares refits
+  the weights.  In the Frobenius norm and for ALS it reads a formed Gram and
+  tracks the exact residual of the refit on its pivots; in the
+  interpolative s-norm it fetches only the Gram columns it pivots on, and
+  below input rank 512 bounds its skeletons from the half Grams of a
+  balanced split;
 * the interpolative variant (``"id"``) returns that skeleton, whose factor
   columns are input columns, untouched;
 * alternating least squares (``"als"``) fits lower-rank CTDs below it,
@@ -121,7 +122,7 @@ class ReductionResult:
     * An ALS lower bound: otherwise a measured error is the weight of a
       single-start rank-one fit, a lower bound on the s-norm of the
       difference; the interpolative path measures it on the input's own
-      terms (see :func:`_snorm_skeleton`), ALS on the concatenated
+      terms (see :func:`_skeleton_search`), ALS on the concatenated
       difference.
     * A mass estimate: the interpolative path accepts a skeleton on its
       Cholesky estimate without a bound or a measurement where that meets
@@ -219,9 +220,14 @@ def _frobenius_bound(sq, U, goal):
     sqrt(eps), the Frobenius residual cannot resolve the goal, and this
     returns None whatever ``sq`` is.
     """
-    size = float(np.sum(np.abs(U.svalues)))
-    bound_sq = max(sq, 0.0) + U.rank * _EPS * size * size
+    bound_sq = max(sq, 0.0) + _rounding_allowance(U)
     return float(np.sqrt(bound_sq)) if bound_sq <= goal * goal else None
+
+
+def _rounding_allowance(U):
+    """r * eps * (sum |s|)^2, the allowance of :func:`_frobenius_bound`."""
+    size = float(np.sum(np.abs(U.svalues)))
+    return U.rank * _EPS * size * size
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +508,7 @@ def _als_reduce(U, cfg, uu, goal, pivots, skeleton, k):
     that does.  Returns (accepted, best, sweeps) for :func:`_result`.
 
     ``skeleton`` is the (error, V) of the skeleton of rank ``k`` that the
-    search (:func:`_gram_skeleton`) accepted, or None where it accepted
+    search (:func:`_skeleton_search`) accepted, or None where it accepted
     none.  Only ranks below k, and within the ``max_rank`` cap, are fitted,
     and the skeleton is accepted where no smaller fit meets the tolerance.
     Every fit starts from a prefix of the search's pivots, then of the other
@@ -612,7 +618,7 @@ def _pivoted_cholesky_lazy(U, bound=None, gram=None, uu=None, max_pivots=None):
 
     With ``gram``, the unweighted term Gram (:func:`~ctdopt.ctd._cross_gram`
     of U with itself), and ``uu`` = <U, U> formed from it, as
-    :func:`_gram_skeleton` passes them for both algorithms, the columns are
+    :func:`_skeleton_search` passes them for both algorithms, the columns are
     read from that matrix, and ``remaining[k]`` is
     ``uu - sum_{i <= k} (1^T L[:, i])^2``, the squared Frobenius residual
     of the least-squares refit of U on the first k+1 pivots.  A
@@ -649,9 +655,6 @@ def _pivoted_cholesky_lazy(U, bound=None, gram=None, uu=None, max_pivots=None):
     for k in range(r):
         dm = np.where(active, d, -np.inf)
         p = int(np.argmax(dm))
-        if d[p] < tol_neg:
-            indefinite = True
-            break
         exhausted = d[p] <= 0.0
         tau = 8 * (k + 1) * _EPS
         if gram is not None and not exhausted and d[p] <= tau * d0_max:
@@ -871,107 +874,77 @@ def _term_gram(U):
     return G, float(U.svalues @ G @ U.svalues)
 
 
-def _gram_skeleton(U, cfg, goal, G, uu):
-    """The skeleton search on the formed term Gram ``G``, with uu = <U, U>,
-    of both algorithms in the Frobenius norm and of ALS, a fallback
-    included, in the s-norm.
+def _skeleton_search(U, cfg, goal, G=None, uu=None):
+    """The one skeleton search of :func:`reduce`, for both algorithms and
+    both norms.
 
     One pivoted Cholesky (:func:`_pivoted_cholesky_lazy`) of at most
-    min(r - 1, max_rank) pivots tracks the exact squared residual of the
-    least-squares refit on its pivots, ||U||^2 - ||P_S U||^2.  The first
-    skeleton whose residual meets the goal is accepted: in the Frobenius
-    norm its root, at which the Cholesky stops, and in the s-norm the bound
-    :func:`_frobenius_bound` makes of it, so there the Cholesky runs to the
-    cap.  An exhausted diagonal leaves a residual of 0, which accepts.  The
-    residual falls as the skeleton grows, so a Frobenius search that accepts
-    none keeps its largest skeleton as ``best``.
+    min(r - 1, max_rank) pivots picks the skeleton, and the first skeleton
+    k whose error meets the goal is accepted.  Only two things depend on
+    whether the term Gram ``G`` (with uu = <U, U>) was formed: where the
+    Cholesky stops, and how the error of skeleton k is read.
+
+    * With ``G``, the Cholesky tracks the exact squared residual of the
+      least-squares refit on its pivots, ||U||^2 - ||P_S U||^2, and an
+      exhausted diagonal leaves a residual of 0.  In the Frobenius norm the
+      error is the residual's root, and the Cholesky stops at the goal.  In
+      the s-norm it is the bound :func:`_frobenius_bound` makes of the
+      residual, and the Cholesky stops at sqrt(goal^2 - allowance) * (1 -
+      4 eps): a residual within that passes the bound, so the search
+      accepts at or before the stop.  Where the allowance alone exceeds
+      goal^2 no residual can pass, and the Cholesky runs to the cap.
+    * Without ``G``, in the interpolative s-norm, the Cholesky fetches only
+      the Gram columns it pivots on, so its cost scales with the skeleton
+      size times r, and it stops at 0.1 * goal on the unselected diagonal
+      mass.  The search starts at the first skeleton whose mass is at most
+      goal^2, or at the cap if that comes first.  A skeleton whose mass is within 0.1 * goal is accepted on
+      that estimate (see :class:`ReductionResult` for why it is not a
+      bound).  Otherwise, up to input rank 512 (``_SNORM_GRAM_MAX_RANK``),
+      it is bounded from the half Grams of U's balanced split
+      (:func:`_split_gram`), formed once at the first such skeleton: first
+      by its refit's Frobenius residual, <U, U> - ||L^T 1||^2, then by the
+      spectral norm of its residual's balanced flattening
+      (:func:`_flattening_bound`).  Since ALS weight <= s-norm <= flattening
+      norm <= Frobenius norm, a skeleton either bound settles is one ALS
+      would accept too.  Above the gate, and where neither bound settles
+      it, its error is measured on the input's own terms
+      (:func:`_skeleton_residual`), so a measurement holds no second copy
+      of U.  A measurement stops once it exceeds the goal, so a measured
+      error is a lower bound.
+
+    Under a ``max_rank`` cap below rank(U), where no skeleton is accepted,
+    the least-error one is kept as ``best``, ties going to the larger.
 
     Returns (pivots, C, accepted, best, indefinite), each of ``accepted``
     and ``best`` a skeleton (error, k) or None.  An indefinite Gram gives
     neither, and the pivots found before the break.
     """
     frobenius = cfg.norm == "frobenius"
-    cap = U.rank - 1 if cfg.max_rank is None else min(U.rank - 1, cfg.max_rank)
-    pivots, _, C, residual, indefinite = _pivoted_cholesky_lazy(
-        U, goal if frobenius else None, gram=G, uu=uu, max_pivots=cap)
+    capped = cfg.max_rank is not None and cfg.max_rank < U.rank
+    if frobenius:
+        bound = goal
+    elif G is not None:
+        room = goal * goal - _rounding_allowance(U)
+        bound = np.sqrt(room) * (1.0 - 4.0 * _EPS) if room > 0.0 else None
+    else:
+        bound = 0.1 * goal
+    pivots, L, C, remaining, indefinite = _pivoted_cholesky_lazy(
+        U, bound, gram=G, uu=uu, max_pivots=min(U.rank - 1, cfg.max_rank or U.rank))
     if indefinite:
         return pivots, C, None, None, True
-    for k, sq in enumerate(residual, 1):
-        err = _root(sq) if frobenius else _frobenius_bound(sq, U, goal)
-        if err is not None and err <= goal:
-            return pivots, C, (err, k), None, False
-    best = (_root(residual[-1]), len(pivots)) if frobenius and len(pivots) else None
-    return pivots, C, None, best, False
-
-
-def _snorm_skeleton(U, cfg, goal):
-    """The s-norm skeleton search of the interpolative path.
-
-    The Cholesky reads no formed Gram matrix: it fetches only the Gram
-    columns it pivots on, so its cost scales with the skeleton size times r.
-    The search starts at the first skeleton whose unselected diagonal mass
-    is at most (epsilon * ||U||_s)^2.  A skeleton whose unselected mass
-    meets the tolerance with a tenfold margin is accepted on that estimate
-    (see :class:`ReductionResult` for why it is not a bound); otherwise its
-    error is measured, and the skeleton grows further if it still exceeds
-    the tolerance.  The Cholesky stops at that estimate, because no skeleton
-    past it is ever tried.
-
-    Up to input rank 512 (``_SNORM_GRAM_MAX_RANK``), a skeleton that the
-    estimate does not settle is first bounded from above, from the half
-    Grams of U's balanced split (:func:`_split_gram`), formed once per
-    reduction, at its first such skeleton; they also give <U, U>.  Two
-    bounds are tried in turn: the refit's Frobenius residual, <U, U> -
-    ||L^T 1||^2 from the Cholesky factor L (:func:`_frobenius_bound`), then
-    the spectral norm of the residual's balanced flattening
-    (:func:`_flattening_bound`).  Since ALS weight <= s-norm <= flattening
-    norm <= Frobenius norm, a skeleton either bound settles is one ALS would
-    accept too, and it is accepted without ALS.  Above the gate, and where
-    neither bound settles it, the error is measured on the input's own terms
-    (:func:`_skeleton_residual`): the skeleton's terms are input terms, so
-    U - V is U with the weights s_i - c_i s_i on the skeleton, where c is
-    the refit's solution, and a measurement holds no second copy of U.
-
-    Under a ``max_rank`` cap the best skeleton is chosen by measured error.
-    A measurement stops once it exceeds the goal, so these errors are lower
-    bounds, and so is the ``rel_error`` reported with a capped result.
-
-    Returns None for an indefinite Gram, else (pivots, C, accepted, best)
-    with each of the last two a skeleton (error, k) or None; ``best`` is
-    kept only under a ``max_rank`` cap.
-    """
-    # The search accepts at the first k whose Cholesky estimate meets this,
-    # so no later pivot is read.
-    cert_goal = 0.1 * goal
-    pivots, L, C, remaining, indefinite = _pivoted_cholesky_lazy(U, cert_goal)
-    if indefinite:
-        return None
-    mass_goal = goal * goal
-    k0 = 1
-    while k0 < len(pivots) and remaining[k0 - 1] > mass_goal:
-        k0 += 1
-    cap = len(pivots) if cfg.max_rank is None else min(len(pivots), cfg.max_rank)
-    accepted = best = None
-    split = None  # _split_gram(U), formed at the first bounded skeleton
-    for k in range(min(k0, cap), cap + 1):
-        if k >= U.rank:
-            break
-        # The unselected diagonal mass is the sum of the unselected terms'
-        # residual energies.  The squared Frobenius residual of the
-        # least-squares fit is the energy of their sum, up to r - k times
-        # more, and it bounds the s-norm error from above, so the mass is an
-        # estimate of the error, not a bound on it.  It costs nothing, so it
-        # is taken as the error when it meets the goal with a tenfold
-        # margin, and bounded or measured otherwise.
-        err = np.sqrt(max(remaining[k - 1], 0.0))
-        if err > cert_goal:
+    start = 1
+    if G is None:  # clamped to the cap only: a start past the pivots reads none
+        mass = np.flatnonzero(remaining <= goal * goal)
+        start = min(mass[0] + 1 if mass.size else len(pivots) + 1, cfg.max_rank or U.rank)
+    best = split = None  # split is _split_gram(U), formed when first read
+    for k in range(start, len(pivots) + 1):
+        err = _root(remaining[k - 1])
+        if G is not None and not frobenius:
+            err = _frobenius_bound(remaining[k - 1], U, goal)
+        elif G is None and err > bound:
             R = _skeleton_residual(U, pivots[:k], _skeleton_coefficients(C, pivots, k))
             err = None
             if U.rank <= _SNORM_GRAM_MAX_RANK:
-                # ALS weight <= s-norm <= balanced flattening <= Frobenius,
-                # so either bound within the goal settles the skeleton as
-                # ALS would.  The refit's squared Frobenius residual is
-                # uu - ||L^T 1||^2 (see _pivoted_cholesky_lazy).
                 if split is None:
                     split = _split_gram(U)
                     proj = np.cumsum(L.sum(axis=0) ** 2)
@@ -981,12 +954,11 @@ def _snorm_skeleton(U, cfg, goal):
                     err = _flattening_bound(U, half_factor, R.svalues, goal)
             if err is None:
                 err = rank_one_approx(R, goal=goal).svalue
-        if err <= goal:
-            accepted = (err, k)
-            break
-        if cfg.max_rank is not None and (best is None or err < best[0]):
+        if err is not None and err <= goal:
+            return pivots, C, (err, k), None, False
+        if capped and err is not None and (best is None or err <= best[0]):
             best = (err, k)
-    return pivots, C, accepted, best
+    return pivots, C, None, best, False
 
 
 def _built(U, C, pivots, found):
@@ -994,14 +966,6 @@ def _built(U, C, pivots, found):
     if found is None:
         return None
     return found[0], _skeleton_ctd_from_cols(U, C, pivots, found[1])[0]
-
-
-def _skeleton_result(U, cfg, norm_target, pivots, C, accepted, best):
-    """The interpolative result of a search's skeletons (error, k); only the
-    returned one is built as a CTD."""
-    capped = cfg.max_rank is not None and cfg.max_rank < U.rank
-    return _result(U, cfg, "id", norm_target, _built(U, C, pivots, accepted),
-                   _built(U, C, pivots, best) if accepted is None and capped else None)
 
 
 def reduce(U, cfg):
@@ -1014,13 +978,12 @@ def reduce(U, cfg):
 
     Both algorithms share this front end: it forms the norm target ||U||,
     exits on a zero input (rank 0 included), sets the goal epsilon * ||U||
-    and runs one skeleton search, :func:`_snorm_skeleton` for the
-    interpolative path in the s-norm, else :func:`_gram_skeleton` on the
-    term Gram formed for it.  The interpolative path returns the search's
-    skeleton; ALS fits only below it (:func:`_als_reduce`).  An
-    interpolative search that meets an indefinite Gram falls back to ALS,
-    flagged: in the Frobenius norm with the search already run, in the
-    s-norm with a search of the formed Gram.
+    and runs the skeleton search (:func:`_skeleton_search`), on the term
+    Gram formed for it in the Frobenius norm and for ALS.  The interpolative
+    path returns the search's skeleton; ALS fits only below it
+    (:func:`_als_reduce`).  An interpolative search that meets an
+    indefinite Gram falls back to ALS, flagged: in the Frobenius norm with
+    the search already run, in the s-norm with a search of the formed Gram.
     """
     if not isinstance(cfg, ReductionConfig):
         raise TypeError("cfg must be a ReductionConfig")
@@ -1038,15 +1001,14 @@ def reduce(U, cfg):
     if norm_target <= 1e-300:  # a zero input, rank 0 included
         return _result(U, cfg, cfg.algorithm, 0.0, (0.0, zero_ctd(U.modes)))
     goal = cfg.epsilon * norm_target
-    if G is None:
-        search = _snorm_skeleton(U, cfg, goal)
-        if search is not None:
-            return _skeleton_result(U, cfg, norm_target, *search)
-        G, uu = _term_gram(U)  # an indefinite Gram: ALS searches the formed one
-    pivots, C, accepted, best, indefinite = _gram_skeleton(U, cfg, goal, G, uu)
+    pivots, C, accepted, best, indefinite = _skeleton_search(U, cfg, goal, G, uu)
+    if indefinite and G is None:  # the s-norm ID: ALS searches the formed Gram
+        G, uu = _term_gram(U)
+        pivots, C, accepted, best, _ = _skeleton_search(U, cfg, goal, G, uu)
     del G  # r x r, released before any skeleton is built
-    if frobenius and not als and not indefinite:
-        return _skeleton_result(U, cfg, norm_target, pivots, C, accepted, best)
+    if not (als or indefinite):
+        return _result(U, cfg, "id", norm_target, _built(U, C, pivots, accepted),
+                       _built(U, C, pivots, best))
     skeleton = _built(U, C, pivots, accepted)
     del C  # the Gram columns of every pivot, needed only for the skeleton
     k = None if accepted is None else accepted[1]

@@ -104,6 +104,24 @@ class TestReduceContract:
         res = reduce(U, cfg.__class__(epsilon=1e-12, norm="snorm"))
         assert res.tolerance_met
 
+    def test_max_rank_cap_stops_the_snorm_cholesky(self, rng, monkeypatch):
+        # No skeleton past the cap is read, so the interpolative s-norm
+        # Cholesky factors no more pivots than the cap allows.
+        U = random_signed_ctd((6, 6, 6), 5, rng)
+        cholesky = reduction_mod._pivoted_cholesky_lazy
+        pivots = []
+
+        def run(*args, **kwargs):
+            out = cholesky(*args, **kwargs)
+            pivots.append(len(out[0]))
+            return out
+
+        monkeypatch.setattr(reduction_mod, "_pivoted_cholesky_lazy", run)
+        res = reduce(U, ReductionConfig(epsilon=1e-12, norm="snorm", max_rank=2))
+        assert res.rank <= 2
+        assert not res.tolerance_met
+        assert len(pivots) == 1 and pivots[0] <= 2
+
     def test_zero_and_rank_zero(self):
         Z = zero_ctd((4, 4))
         res = reduce(Z, ReductionConfig(epsilon=1e-6))
@@ -252,6 +270,14 @@ class TestInterpolative:
         assert res.fallback_to_als
         assert res.tolerance_met
         assert calls == {"_cross_gram": 1, "_pivoted_cholesky_lazy": 1}
+        # The s-norm search forms no Gram, so its fallback forms the Gram
+        # and searches it a second time.
+        calls.update(dict.fromkeys(calls, 0))
+        res = reduce(U, ReductionConfig(epsilon=1e-6, norm="snorm"))
+        assert res.algorithm == "als"
+        assert res.fallback_to_als
+        assert res.tolerance_met
+        assert calls == {"_cross_gram": 1, "_pivoted_cholesky_lazy": 2}
 
     def test_psd_gram_not_flagged_indefinite(self):
         # The first square of this spike-search instance has rank 10 and a
@@ -582,6 +608,8 @@ class TestDistinctTermOrder:
         assert pivots[0] < pivots[1]
         if norm == "frobenius":
             assert pivots[0] <= skeleton < pivots[1]
+        else:  # stopped where the refit residual's bound accepts
+            assert pivots[0] < U.rank - 1
         assert stopped.sweeps == full.sweeps
         assert stopped.rel_error == full.rel_error
         assert np.array_equal(stopped.ctd.svalues, full.ctd.svalues)
