@@ -5,10 +5,11 @@ search and hands it to one of two algorithms:
 
 * the search (:func:`_skeleton_search`) picks a skeleton of existing terms
   by one pivoted Cholesky on the term Gram matrix and least-squares refits
-  the weights.  In the Frobenius norm and for ALS it reads a formed Gram and
-  tracks the exact residual of the refit on its pivots; in the
-  interpolative s-norm it fetches only the Gram columns it pivots on, and
-  below input rank 512 bounds its skeletons from the half Grams of a
+  the weights.  The Gram is never formed: the Cholesky reads its diagonal
+  and fetches only the columns it pivots on.  In the Frobenius norm and for
+  ALS the search tracks the exact residual of the refit on its pivots, from
+  <U, U> summed a column block at a time; in the interpolative s-norm it
+  bounds its skeletons below input rank 512 from the half Grams of a
   balanced split;
 * the interpolative variant (``"id"``) returns that skeleton, whose factor
   columns are input columns, untouched;
@@ -29,8 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ctd import (CTD, _cross_gram, _normalized, add, inner, renormalize, scale,
-                  zero_ctd)
+from .ctd import CTD, _normalized, add, inner, renormalize, scale, zero_ctd
 
 __all__ = [
     "ReductionConfig",
@@ -51,7 +51,8 @@ _EPS = np.finfo(float).eps
 # Grams only up to this input rank, so that the two r x r arrays it holds
 # take at most 2 MiB each; above it every skeleton is measured.
 _SNORM_GRAM_MAX_RANK = 512
-# Columns per block of the half Grams and of the in-place Cholesky.
+# Columns per block of the term Gram sums, the half Grams and the in-place
+# Cholesky.
 _BLOCK = 64
 
 
@@ -138,7 +139,8 @@ class ReductionResult:
     adds none, and the interpolative path reports 0.  ``tolerance_met`` is
     False only when a max_rank cap forced a best-effort answer.
     ``fallback_to_als`` marks interpolative runs that detected an indefinite
-    Gram matrix and fell back to ALS.
+    Gram matrix and fell back to ALS, started from the pivots found before
+    the break.
     """
 
     ctd: CTD
@@ -412,23 +414,28 @@ def _unfolding_spectra(U):
     """Squared singular values of each mode-j unfolding U_(j), largest first,
     one array of length M_j per dimension.
 
-    They are the eigenvalues of U_(j) U_(j)^T = X_j H_j X_j^T, where X_j is
-    F_j scaled by the s-values and H_j the elementwise product of the other
-    dimensions' factor Grams F_l^T F_l, so each costs an M_j x M_j
-    eigenproblem and no entry of U is formed.  Eigenvalues that roundoff
-    pushes below zero are clipped to zero.
+    They are the eigenvalues of U_(j) U_(j)^T = F_j (W o H_j) F_j^T, where W
+    = s s^T for the s-values s and H_j is the elementwise product of the
+    other dimensions' factor Grams F_l^T F_l, so each costs an M_j x M_j
+    eigenproblem and no entry of U is formed.  The products are summed one
+    column block of H_j at a time, from the block's d factor-Gram columns,
+    formed once for every j, so no r x r array is held.  Each factor-Gram
+    block is a GEMM on a copy of the columns, as in :func:`_half_gram_cols`.
+    Eigenvalues that roundoff pushes below zero are clipped to zero.
     """
-    grams = [F.T @ F for F in U.factors]
-    spectra = []
-    for j, F in enumerate(U.factors):
-        H = np.ones((U.rank, U.rank))
-        for l, G in enumerate(grams):
-            if l != j:
-                H *= G
-        X = F * U.svalues
-        lam = np.linalg.eigvalsh(X @ H @ X.T)
-        spectra.append(np.maximum(lam[::-1], 0.0))
-    return spectra
+    r, s = U.rank, U.svalues
+    sums = [np.zeros((M, M)) for M in U.modes]
+    for c in range(0, r, _BLOCK):
+        e = min(c + _BLOCK, r)
+        cols = [F.T @ F[:, c:e].copy() for F in U.factors]
+        for j, F in enumerate(U.factors):
+            H = np.outer(s, s[c:e])
+            for l, G in enumerate(cols):
+                if l != j:
+                    H *= G
+            sums[j] += F @ H @ F[:, c:e].T
+        del cols, H  # released before the next block's are formed
+    return [np.maximum(np.linalg.eigvalsh(S)[::-1], 0.0) for S in sums]
 
 
 def _rank_floor(U):
@@ -515,8 +522,8 @@ def _als_reduce(U, cfg, uu, goal, pivots, skeleton, k):
     terms, largest s-value first; a near-duplicate of a pivot has an updated
     diagonal of about 0, so it comes late.  A fit below k reads only pivots,
     so a search stopped at k gives the same fits as one run to exhaustion.
-    ``uu`` is <U, U>, formed with the search's Gram, and ``goal`` the
-    absolute tolerance.
+    ``uu`` is <U, U> (:func:`_self_inner`), and ``goal`` the absolute
+    tolerance.
 
     In the Frobenius norm and without a ``max_rank`` cap, a candidate rank
     that the unfolding spectra prove too small (:func:`_rank_floor` above
@@ -596,12 +603,14 @@ def _gram_column(U, p):
     return col * (U.svalues * U.svalues[p])
 
 
-def _pivoted_cholesky_lazy(U, bound=None, gram=None, uu=None, max_pivots=None):
-    """Diagonal-pivoted Cholesky of U's term Gram matrix.  It starts from
-    the diagonal (:func:`_gram_diag`) and reads the Gram column of a pivot
-    only when that column is pivoted.  It is the only Cholesky here and
-    keeps its ``_lazy`` name because ``perfbench/tracer.py`` counts its calls
-    under that name.
+def _pivoted_cholesky_lazy(U, bound=None, uu=None, max_pivots=None):
+    """Diagonal-pivoted Cholesky of U's term Gram matrix, which is never
+    formed.  It starts from the diagonal (:func:`_gram_diag`) and fetches
+    the Gram column of a pivot from the factors (:func:`_gram_column`) only
+    when that column is pivoted, so its cost scales with the skeleton size
+    times r, not with r^2.  It is the only Cholesky here and keeps its
+    ``_lazy`` name because ``perfbench/tracer.py`` counts its calls under
+    that name.
 
     Returns (pivots, L, C, remaining, indefinite): ``C[:, k]`` is the Gram
     column of the k-th pivot, for the skeleton refit, and ``L[:, :k]``
@@ -611,15 +620,11 @@ def _pivoted_cholesky_lazy(U, bound=None, gram=None, uu=None, max_pivots=None):
     choice resolve to the lowest index.  ``indefinite`` flags an updated
     diagonal dipping below the negative roundoff band.
 
-    Without a ``gram`` the matrix is never formed: each pivot's column is
-    fetched from the factors, so the cost scales with the skeleton size
-    times r rather than with r^2, and ``remaining[k]`` is the sum of the
-    updated diagonal over unselected indices after eliminating pivot k.
+    Without ``uu``, ``remaining[k]`` is the sum of the updated diagonal over
+    unselected indices after eliminating pivot k.
 
-    With ``gram``, the unweighted term Gram (:func:`~ctdopt.ctd._cross_gram`
-    of U with itself), and ``uu`` = <U, U> formed from it, as
-    :func:`_skeleton_search` passes them for both algorithms, the columns are
-    read from that matrix, and ``remaining[k]`` is
+    With ``uu`` = <U, U>, as :func:`_skeleton_search` passes it in the
+    Frobenius norm and for ALS, ``remaining[k]`` is
     ``uu - sum_{i <= k} (1^T L[:, i])^2``, the squared Frobenius residual
     of the least-squares refit of U on the first k+1 pivots.  A
     diagonal exhausted after k pivots leaves nothing outside their span
@@ -639,7 +644,7 @@ def _pivoted_cholesky_lazy(U, bound=None, gram=None, uu=None, max_pivots=None):
     """
     r = U.rank
     d = _gram_diag(U)
-    if gram is not None:
+    if uu is not None:
         d0 = d.copy()
         d0_max = float(d0.max(initial=0.0))
     tol_neg = -1e-10 * max(float(d.max(initial=0.0)), 1e-300)
@@ -657,14 +662,14 @@ def _pivoted_cholesky_lazy(U, bound=None, gram=None, uu=None, max_pivots=None):
         p = int(np.argmax(dm))
         exhausted = d[p] <= 0.0
         tau = 8 * (k + 1) * _EPS
-        if gram is not None and not exhausted and d[p] <= tau * d0_max:
+        if uu is not None and not exhausted and d[p] <= tau * d0_max:
             # d[p] is the largest unselected entry, so the test above is
             # necessary for this one and spares its cost at most pivots
             exhausted = bool(np.all(d[active] <= tau * d0[active]))
         if exhausted:
             # what is left is numerically zero mass
             remaining[k:] = 0.0
-            if gram is not None and k:
+            if uu is not None and k:
                 remaining[k - 1] = 0.0
             break
         if k == max_pivots:
@@ -674,10 +679,7 @@ def _pivoted_cholesky_lazy(U, bound=None, gram=None, uu=None, max_pivots=None):
             cap *= 2
             L = np.concatenate([L, np.zeros((r, grow))], axis=1)
             C = np.concatenate([C, np.zeros((r, grow))], axis=1)
-        if gram is None:
-            col = _gram_column(U, p)
-        else:
-            col = gram[p] * (U.svalues * U.svalues[p])  # gram is symmetric
+        col = _gram_column(U, p)
         pivots[k] = p
         lk = (col - L[:, :k] @ L[p, :k]) / np.sqrt(d[p])
         lk[~active] = 0.0
@@ -690,7 +692,7 @@ def _pivoted_cholesky_lazy(U, bound=None, gram=None, uu=None, max_pivots=None):
         if np.min(d[active], initial=0.0) < tol_neg:
             indefinite = True
             break
-        if gram is None:
+        if uu is None:
             remaining[k] = float(np.sum(d[active], initial=0.0))
         else:
             proj += float(np.sum(lk)) ** 2
@@ -783,27 +785,40 @@ def _cholesky_in_place(X):
     return True
 
 
-def _split_gram(U):
-    """(L, uu) for the balanced split of U's dimensions at h = floor(d / 2).
+def _self_inner(U, A=None):
+    """<U, U>, summed one column block of the term Gram at a time, so that
+    no r x r array is held.
 
-    A is the unweighted term Gram over dimensions 0..h-1 and B over the
-    rest, each formed a column block at a time (:func:`_half_gram_cols`).
-    The term Gram is A o B, so uu = <U, U> = s^T (A o B) s is summed block by
-    block, and B is never held.  A is numerically singular wherever the
+    The balanced split of U's dimensions at h = floor(d / 2) gives A, the
+    unweighted term Gram over dimensions 0..h-1, and B over the rest, each
+    formed a column block at a time (:func:`_half_gram_cols`).  The term
+    Gram is A o B, so <U, U> = s^T (A o B) s.  Given an r x r array ``A``,
+    the column blocks of A are stored in it.
+    """
+    r, h = U.rank, U.ndim // 2
+    uu = 0.0
+    for c in range(0, r, _BLOCK):
+        e = min(c + _BLOCK, r)
+        left = _half_gram_cols(U.factors[:h], r, c, e)
+        if A is not None:
+            A[:, c:e] = left
+        uu += float(U.svalues @ (left * _half_gram_cols(U.factors[h:], r, c, e))
+                    @ U.svalues[c:e])
+    return uu
+
+
+def _split_gram(U):
+    """(L, uu) for the balanced split of U's dimensions: uu = <U, U> and L
+    from the first half's term Gram A, both from :func:`_self_inner`, which
+    never holds the second half's B.  A is numerically singular wherever the
     first half holds fewer than r independent directions, so L is the
     Cholesky factor of A + delta I, with delta = n eps max_l A_ll for n =
     sum_j M_j + r, formed in A's own buffer; L is None if even that is not
     numerically positive definite.
     """
     r = U.rank
-    h = U.ndim // 2
     A = np.empty((r, r))
-    uu = 0.0
-    for c in range(0, r, _BLOCK):
-        e = min(c + _BLOCK, r)
-        A[:, c:e] = _half_gram_cols(U.factors[:h], r, c, e)
-        B = _half_gram_cols(U.factors[h:], r, c, e)
-        uu += float(U.svalues @ (A[:, c:e] * B) @ U.svalues[c:e])
+    uu = _self_inner(U, A)
     A.flat[::r + 1] += (sum(U.modes) + r) * _EPS * float(A.diagonal().max())
     return (A if _cholesky_in_place(A) else None), uu
 
@@ -867,38 +882,32 @@ def _flattening_bound(U, L, w, goal):
     return goal if _cholesky_in_place(Y) else None
 
 
-def _term_gram(U):
-    """The unweighted term Gram G of U and <U, U> = s^T G s, as
-    :func:`~ctdopt.ctd.inner` forms it."""
-    G = _cross_gram(U, U)
-    return G, float(U.svalues @ G @ U.svalues)
-
-
-def _skeleton_search(U, cfg, goal, G=None, uu=None):
+def _skeleton_search(U, cfg, goal, uu=None):
     """The one skeleton search of :func:`reduce`, for both algorithms and
     both norms.
 
     One pivoted Cholesky (:func:`_pivoted_cholesky_lazy`) of at most
     min(r - 1, max_rank) pivots picks the skeleton, and the first skeleton
-    k whose error meets the goal is accepted.  Only two things depend on
-    whether the term Gram ``G`` (with uu = <U, U>) was formed: where the
-    Cholesky stops, and how the error of skeleton k is read.
+    k whose error meets the goal is accepted.  The Cholesky fetches only the
+    Gram columns it pivots on.  Only two things depend on whether
+    uu = <U, U> is given: where the Cholesky stops, and how the error of
+    skeleton k is read.
 
-    * With ``G``, the Cholesky tracks the exact squared residual of the
-      least-squares refit on its pivots, ||U||^2 - ||P_S U||^2, and an
-      exhausted diagonal leaves a residual of 0.  In the Frobenius norm the
-      error is the residual's root, and the Cholesky stops at the goal.  In
-      the s-norm it is the bound :func:`_frobenius_bound` makes of the
-      residual, and the Cholesky stops at sqrt(goal^2 - allowance) * (1 -
-      4 eps): a residual within that passes the bound, so the search
-      accepts at or before the stop.  Where the allowance alone exceeds
-      goal^2 no residual can pass, and the Cholesky runs to the cap.
-    * Without ``G``, in the interpolative s-norm, the Cholesky fetches only
-      the Gram columns it pivots on, so its cost scales with the skeleton
-      size times r, and it stops at 0.1 * goal on the unselected diagonal
-      mass.  The search starts at the first skeleton whose mass is at most
-      goal^2, or at the cap if that comes first.  A skeleton whose mass is within 0.1 * goal is accepted on
-      that estimate (see :class:`ReductionResult` for why it is not a
+    * With ``uu``, in the Frobenius norm and for ALS, the Cholesky tracks
+      the exact squared residual of the least-squares refit on its pivots,
+      ||U||^2 - ||P_S U||^2, and an exhausted diagonal leaves a residual of
+      0.  In the Frobenius norm the error is the residual's root, and the
+      Cholesky stops at the goal.  In the s-norm it is the bound
+      :func:`_frobenius_bound` makes of the residual, and the Cholesky stops
+      at sqrt(goal^2 - allowance) * (1 - 4 eps): a residual within that
+      passes the bound, so the search accepts at or before the stop.  Where
+      the allowance alone exceeds goal^2 no residual can pass, and the
+      Cholesky runs to the cap.
+    * Without ``uu``, in the interpolative s-norm, the Cholesky stops at
+      0.1 * goal on the unselected diagonal mass.  The search starts at the
+      first skeleton whose mass is at most goal^2, or at the cap if that
+      comes first.  A skeleton whose mass is within 0.1 * goal is accepted
+      on that estimate (see :class:`ReductionResult` for why it is not a
       bound).  Otherwise, up to input rank 512 (``_SNORM_GRAM_MAX_RANK``),
       it is bounded from the half Grams of U's balanced split
       (:func:`_split_gram`), formed once at the first such skeleton: first
@@ -921,35 +930,36 @@ def _skeleton_search(U, cfg, goal, G=None, uu=None):
     """
     frobenius = cfg.norm == "frobenius"
     capped = cfg.max_rank is not None and cfg.max_rank < U.rank
+    exact = uu is not None
     if frobenius:
         bound = goal
-    elif G is not None:
+    elif exact:
         room = goal * goal - _rounding_allowance(U)
         bound = np.sqrt(room) * (1.0 - 4.0 * _EPS) if room > 0.0 else None
     else:
         bound = 0.1 * goal
     pivots, L, C, remaining, indefinite = _pivoted_cholesky_lazy(
-        U, bound, gram=G, uu=uu, max_pivots=min(U.rank - 1, cfg.max_rank or U.rank))
+        U, bound, uu=uu, max_pivots=min(U.rank - 1, cfg.max_rank or U.rank))
     if indefinite:
         return pivots, C, None, None, True
     start = 1
-    if G is None:  # clamped to the cap only: a start past the pivots reads none
+    if not exact:  # clamped to the cap only: a start past the pivots reads none
         mass = np.flatnonzero(remaining <= goal * goal)
         start = min(mass[0] + 1 if mass.size else len(pivots) + 1, cfg.max_rank or U.rank)
     best = split = None  # split is _split_gram(U), formed when first read
     for k in range(start, len(pivots) + 1):
         err = _root(remaining[k - 1])
-        if G is not None and not frobenius:
+        if exact and not frobenius:
             err = _frobenius_bound(remaining[k - 1], U, goal)
-        elif G is None and err > bound:
+        elif not exact and err > bound:
             R = _skeleton_residual(U, pivots[:k], _skeleton_coefficients(C, pivots, k))
             err = None
             if U.rank <= _SNORM_GRAM_MAX_RANK:
                 if split is None:
                     split = _split_gram(U)
                     proj = np.cumsum(L.sum(axis=0) ** 2)
-                half_factor, uu = split
-                err = _frobenius_bound(uu - proj[k - 1], U, goal)
+                half_factor, split_uu = split
+                err = _frobenius_bound(split_uu - proj[k - 1], U, goal)
                 if err is None and half_factor is not None:
                     err = _flattening_bound(U, half_factor, R.svalues, goal)
             if err is None:
@@ -976,14 +986,16 @@ def reduce(U, cfg):
     achieves the bound (and no cap intervenes), U itself is returned
     renormalized.  See :class:`ReductionResult` for the attached metadata.
 
-    Both algorithms share this front end: it forms the norm target ||U||,
-    exits on a zero input (rank 0 included), sets the goal epsilon * ||U||
-    and runs the skeleton search (:func:`_skeleton_search`), on the term
-    Gram formed for it in the Frobenius norm and for ALS.  The interpolative
-    path returns the search's skeleton; ALS fits only below it
-    (:func:`_als_reduce`).  An interpolative search that meets an
-    indefinite Gram falls back to ALS, flagged: in the Frobenius norm with
-    the search already run, in the s-norm with a search of the formed Gram.
+    Both algorithms share this front end: it forms the norm target ||U||
+    (from <U, U>, summed a column block at a time by :func:`_self_inner`,
+    in the Frobenius norm), exits on a zero input (rank 0 included), sets
+    the goal epsilon * ||U|| and runs the skeleton search
+    (:func:`_skeleton_search`) once, with <U, U> in the Frobenius norm and
+    for ALS.  No r x r term Gram is formed.  The interpolative path returns
+    the search's skeleton; ALS fits only below it (:func:`_als_reduce`).
+    An interpolative search that meets an indefinite Gram falls back to
+    ALS, flagged, with no skeleton: the fits start from the pivots found
+    before the break, and the s-norm first sums <U, U> for them.
     """
     if not isinstance(cfg, ReductionConfig):
         raise TypeError("cfg must be a ReductionConfig")
@@ -994,21 +1006,17 @@ def reduce(U, cfg):
             "certifiable in double precision; consider norm='snorm'",
             stacklevel=2,
         )
-    G = uu = None
-    if frobenius or als:
-        G, uu = _term_gram(U)
+    uu = _self_inner(U) if frobenius or als else None
     norm_target = _root(uu) if frobenius else s_norm(U)
     if norm_target <= 1e-300:  # a zero input, rank 0 included
         return _result(U, cfg, cfg.algorithm, 0.0, (0.0, zero_ctd(U.modes)))
     goal = cfg.epsilon * norm_target
-    pivots, C, accepted, best, indefinite = _skeleton_search(U, cfg, goal, G, uu)
-    if indefinite and G is None:  # the s-norm ID: ALS searches the formed Gram
-        G, uu = _term_gram(U)
-        pivots, C, accepted, best, _ = _skeleton_search(U, cfg, goal, G, uu)
-    del G  # r x r, released before any skeleton is built
+    pivots, C, accepted, best, indefinite = _skeleton_search(U, cfg, goal, uu)
     if not (als or indefinite):
         return _result(U, cfg, "id", norm_target, _built(U, C, pivots, accepted),
                        _built(U, C, pivots, best))
+    if uu is None:  # the s-norm ID, fallen back to ALS
+        uu = _self_inner(U)
     skeleton = _built(U, C, pivots, accepted)
     del C  # the Gram columns of every pivot, needed only for the skeleton
     k = None if accepted is None else accepted[1]

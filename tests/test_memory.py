@@ -1,4 +1,5 @@
-"""Memory checks on the squaring path: a step holds one unreduced square.
+"""Memory checks on the squaring path: a step holds one unreduced square,
+and a reduction holds no r x r array.
 
 Each bound is assembled from the sizes of the arrays involved, and the peak
 is read with ``tracemalloc``, which sees NumPy's data allocations.  Inputs
@@ -10,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 
-from ctdopt import ReductionConfig, frobenius_norm, reduce, scale, square
+from ctdopt import ReductionConfig, frobenius_norm, random_ctd, reduce, scale, square
 from ctdopt import maxentry, reduction
 from ctdopt.experiments import background_instance, plant_spike
 from ctdopt.maxentry import FixedIterations, MaxEntrySearchConfig, squaring_max
@@ -125,3 +126,20 @@ def test_squaring_search_holds_one_unreduced_square(monkeypatch):
     # Holding any two squares at once would take at least the two smallest.
     smallest = sorted(squares)[:2]
     assert peak < sum(smallest)
+
+
+def test_frobenius_reduce_holds_no_term_gram():
+    # The rank-3081 square of a max-entry search whose ranks run away (12 ->
+    # 78 -> 3081 -> 388 -> ...).  Its term Gram would take 8 r^2 bytes, 72
+    # MiB: the Frobenius ID search and the ALS rank floor each stay below
+    # that, summing <U, U> and the unfolding spectra a column block at a time.
+    U = random_ctd([6] * 4, 12, rng=np.random.default_rng(3))
+    cfg = ReductionConfig(epsilon=1e-6)
+    Q = square(reduce(square(U), cfg).ctd)
+    assert Q.rank == 3081
+    gram = 8 * Q.rank ** 2
+    res, peak = traced_peak(reduce, Q, cfg)
+    assert res.rank == 388 and res.tolerance_met
+    assert peak < gram
+    _, peak = traced_peak(reduction._rank_floor, Q)
+    assert peak < gram

@@ -24,7 +24,6 @@ from ctdopt import (
     zero_ctd,
 )
 from ctdopt import reduction as reduction_mod
-from ctdopt.ctd import _cross_gram
 from ctdopt.reduction import RankOneApprox
 from ctdopt.experiments import background_instance, plant_spike
 from conftest import random_modes, random_signed_ctd
@@ -259,25 +258,25 @@ class TestInterpolative:
         assert sigma[0] <= 1e-3 * s_norm(U)
 
     def test_indefinite_gram_falls_back(self, rng, monkeypatch):
-        # The Frobenius search that met the indefinite Gram is handed to
-        # ALS, so the Gram and its Cholesky are each formed once.
+        # The search that met the indefinite Gram is handed to ALS, so
+        # <U, U> is summed once and the Cholesky runs once.
         U = random_signed_ctd((4, 4), 3, rng)
         bad = np.array(reduction_mod._gram_diag(U))
         bad[0] = -1.0  # force an indefinite diagonal
         monkeypatch.setattr(reduction_mod, "_gram_diag", lambda _: bad)
-        calls = count_calls(monkeypatch, "_cross_gram", "_pivoted_cholesky_lazy")
+        calls = count_calls(monkeypatch, "_self_inner", "_pivoted_cholesky_lazy")
         res = reduce(U, ReductionConfig(epsilon=1e-6))
         assert res.fallback_to_als
         assert res.tolerance_met
-        assert calls == {"_cross_gram": 1, "_pivoted_cholesky_lazy": 1}
-        # The s-norm search forms no Gram, so its fallback forms the Gram
-        # and searches it a second time.
+        assert calls == {"_self_inner": 1, "_pivoted_cholesky_lazy": 1}
+        # The s-norm search sums no <U, U>, so its fallback sums it for ALS
+        # and searches no second time.
         calls.update(dict.fromkeys(calls, 0))
         res = reduce(U, ReductionConfig(epsilon=1e-6, norm="snorm"))
         assert res.algorithm == "als"
         assert res.fallback_to_als
         assert res.tolerance_met
-        assert calls == {"_cross_gram": 1, "_pivoted_cholesky_lazy": 2}
+        assert calls == {"_self_inner": 1, "_pivoted_cholesky_lazy": 1}
 
     def test_psd_gram_not_flagged_indefinite(self):
         # The first square of this spike-search instance has rank 10 and a
@@ -591,10 +590,10 @@ class TestDistinctTermOrder:
         pivots = []
 
         def factor(full):
-            def run(U, bound=None, gram=None, uu=None, max_pivots=None):
+            def run(U, bound=None, uu=None, max_pivots=None):
                 if full:
                     bound = max_pivots = None
-                out = cholesky(U, bound, gram=gram, uu=uu, max_pivots=max_pivots)
+                out = cholesky(U, bound, uu=uu, max_pivots=max_pivots)
                 pivots.append(len(out[0]))
                 return out
             return run
@@ -698,6 +697,16 @@ class TestRankFloor:
             assert np.all(lam >= 0.0)
             assert np.all(np.diff(lam) <= 0.0)
             assert_allclose(lam, want, rtol=0, atol=1e-12 * want[0])
+
+    def test_blocked_sums_match_dense(self, rng):
+        # Rank 150 spans three column blocks of the term Gram, over which
+        # both the spectra and <U, U> are summed.
+        U = random_signed_ctd((3, 4, 5, 3), 150, rng)
+        dense = to_dense(U)
+        for j, lam in enumerate(reduction_mod._unfolding_spectra(U)):
+            want = np.linalg.svd(dense_unfolding(U, j), compute_uv=False) ** 2
+            assert_allclose(lam, want, rtol=0, atol=1e-12 * want[0])
+        assert_allclose(reduction_mod._self_inner(U), np.sum(dense ** 2), rtol=1e-12)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -838,11 +847,10 @@ _dependent_args = (
 def frobenius_id_pivots(U, epsilon):
     """The pivots and Gram columns of the Frobenius ID search on U at
     ``epsilon``, as :func:`reduce` factors them."""
-    G = _cross_gram(U, U)
-    uu = float(U.svalues @ G @ U.svalues)
+    uu = reduction_mod._self_inner(U)
     goal = epsilon * np.sqrt(uu)
     pivots, _, C, _, indefinite = reduction_mod._pivoted_cholesky_lazy(
-        U, goal, gram=G, uu=uu, max_pivots=U.rank - 1)
+        U, goal, uu=uu, max_pivots=U.rank - 1)
     assert not indefinite
     return pivots, C
 
