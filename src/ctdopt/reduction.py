@@ -48,11 +48,11 @@ _ALGORITHMS = ("als", "id")
 _ALS_MAX_SWEEPS = 200  # sweep budget per candidate rank
 _EPS = np.finfo(float).eps
 # The s-norm interpolative search bounds a skeleton's error from its half
-# Grams only up to this input rank, so that the two r x r arrays it holds
-# take at most 2 MiB each; above it every skeleton is measured.
+# Grams only up to this input rank, so that the r x r arrays it holds, at
+# most three at once, take at most 2 MiB each; above it every skeleton is
+# measured.
 _SNORM_GRAM_MAX_RANK = 512
-# Columns per block of the term Gram sums, the half Grams and the in-place
-# Cholesky.
+# Columns per block of the term Gram sums and the half Grams.
 _BLOCK = 64
 
 
@@ -222,14 +222,9 @@ def _frobenius_bound(sq, U, goal):
     sqrt(eps), the Frobenius residual cannot resolve the goal, and this
     returns None whatever ``sq`` is.
     """
-    bound_sq = max(sq, 0.0) + _rounding_allowance(U)
-    return float(np.sqrt(bound_sq)) if bound_sq <= goal * goal else None
-
-
-def _rounding_allowance(U):
-    """r * eps * (sum |s|)^2, the allowance of :func:`_frobenius_bound`."""
     size = float(np.sum(np.abs(U.svalues)))
-    return U.rank * _EPS * size * size
+    bound_sq = max(sq, 0.0) + U.rank * _EPS * size * size
+    return float(np.sqrt(bound_sq)) if bound_sq <= goal * goal else None
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +598,7 @@ def _gram_column(U, p):
     return col * (U.svalues * U.svalues[p])
 
 
-def _pivoted_cholesky_lazy(U, bound=None, uu=None, max_pivots=None):
+def _pivoted_cholesky_lazy(U, accept=None, uu=None, max_pivots=None):
     """Diagonal-pivoted Cholesky of U's term Gram matrix, which is never
     formed.  It starts from the diagonal (:func:`_gram_diag`) and fetches
     the Gram column of a pivot from the factors (:func:`_gram_column`) only
@@ -612,35 +607,35 @@ def _pivoted_cholesky_lazy(U, bound=None, uu=None, max_pivots=None):
     ``_lazy`` name because ``perfbench/tracer.py`` counts its calls under
     that name.
 
-    Returns (pivots, L, C, remaining, indefinite): ``C[:, k]`` is the Gram
-    column of the k-th pivot, for the skeleton refit, and ``L[:, :k]``
-    reproduces the Gram on the pivot block exactly; L[:, :k] L[:, :k]^T is
-    the Gram projected onto the first k pivots, so ||L[:, :k]^T 1||^2 is
-    ||P_S U||^2, the squared norm of the refit of U on them.  Ties in the pivot
-    choice resolve to the lowest index.  ``indefinite`` flags an updated
-    diagonal dipping below the negative roundoff band.
+    Returns (pivots, L, C, indefinite): ``C[:, k]`` is the Gram column of
+    the k-th pivot, for the skeleton refit, and ``L[:, :k]`` reproduces the
+    Gram on the pivot block exactly; L[:, :k] L[:, :k]^T is the Gram
+    projected onto the first k pivots, so ||L[:, :k]^T 1||^2 is ||P_S U||^2,
+    the squared norm of the refit of U on them.  Ties in the pivot choice
+    resolve to the lowest index.  ``indefinite`` flags an updated diagonal
+    dipping below the negative roundoff band; the pivot that made it dip is
+    left out.
 
-    Without ``uu``, ``remaining[k]`` is the sum of the updated diagonal over
-    unselected indices after eliminating pivot k.
+    After each pivot k it offers the skeleton of the first k + 1 pivots to
+    ``accept(pivots, L, C, res)``, with the views of the arrays above, and
+    stops at the first True.  ``res`` is the skeleton's squared residual:
+    with ``uu`` = <U, U>, as :func:`_skeleton_search` passes it in the
+    Frobenius norm and for ALS, ``uu - ||L^T 1||^2``, the squared Frobenius
+    residual of the least-squares refit of U on the pivots; without it, the
+    sum of the updated diagonal over unselected indices.  A diagonal
+    exhausted after k pivots leaves nothing outside their span beyond
+    roundoff, so the last skeleton is then offered once more, with ``res``
+    0.  With ``uu`` the diagonal counts as exhausted also when every
+    unselected entry is at most 8 (k + 1) eps times its initial value: each
+    is that value less k squares whose sum is at most that value, so this
+    is their rounding, and every unselected term lies in the skeleton's span
+    to working precision.
 
-    With ``uu`` = <U, U>, as :func:`_skeleton_search` passes it in the
-    Frobenius norm and for ALS, ``remaining[k]`` is
-    ``uu - sum_{i <= k} (1^T L[:, i])^2``, the squared Frobenius residual
-    of the least-squares refit of U on the first k+1 pivots.  A
-    diagonal exhausted after k pivots leaves nothing outside their span
-    beyond roundoff, so ``remaining[k-1]`` is then set to 0.  Here the
-    diagonal counts as exhausted also when every unselected entry is at most
-    8 (k + 1) eps times its initial value: each is that value less k
-    squares whose sum is at most that value, so this is their rounding, and
-    every unselected term lies in the skeleton's span to working precision.
-    ``max_pivots`` caps the number of pivots.
-
-    Without a ``bound`` it factors until the diagonal is exhausted or the
-    ``max_pivots`` cap is reached.  With one it stops after the first pivot k
-    with ``sqrt(max(remaining[k], 0))`` at most ``bound``.  A capped or
-    bounded run is a bitwise prefix of the full factorization.  Past that
-    point the unselected mass is roundoff, which can dip below the negative
-    band of a PSD Gram and would flag it as indefinite.
+    Without ``accept`` it factors until the diagonal is exhausted or the
+    ``max_pivots`` cap is reached.  A capped or accepted run is a bitwise
+    prefix of the full factorization.  Past the exhausted point the
+    unselected mass is roundoff, which can dip below the negative band of a
+    PSD Gram and would flag it as indefinite.
     """
     r = U.rank
     d = _gram_diag(U)
@@ -652,11 +647,9 @@ def _pivoted_cholesky_lazy(U, bound=None, uu=None, max_pivots=None):
     L = np.zeros((r, cap))
     C = np.zeros((r, cap))
     pivots = np.zeros(r, dtype=int)
-    remaining = np.zeros(r)
     active = np.ones(r, dtype=bool)
-    indefinite = False
     proj = 0.0
-    steps_taken = 0
+    n = 0  # pivots taken
     for k in range(r):
         dm = np.where(active, d, -np.inf)
         p = int(np.argmax(dm))
@@ -668,9 +661,8 @@ def _pivoted_cholesky_lazy(U, bound=None, uu=None, max_pivots=None):
             exhausted = bool(np.all(d[active] <= tau * d0[active]))
         if exhausted:
             # what is left is numerically zero mass
-            remaining[k:] = 0.0
-            if uu is not None and k:
-                remaining[k - 1] = 0.0
+            if accept is not None and k:
+                accept(pivots[:k], L[:, :k], C[:, :k], 0.0)
             break
         if k == max_pivots:
             break
@@ -690,18 +682,16 @@ def _pivoted_cholesky_lazy(U, bound=None, uu=None, max_pivots=None):
         d -= lk * lk
         d[p] = 0.0
         if np.min(d[active], initial=0.0) < tol_neg:
-            indefinite = True
-            break
+            return pivots[:k], L[:, :k], C[:, :k], True
+        n = k + 1
         if uu is None:
-            remaining[k] = float(np.sum(d[active], initial=0.0))
+            res = float(np.sum(d[active], initial=0.0))
         else:
             proj += float(np.sum(lk)) ** 2
-            remaining[k] = uu - proj
-        steps_taken = k + 1
-        if bound is not None and np.sqrt(max(remaining[k], 0.0)) <= bound:
+            res = uu - proj
+        if accept is not None and accept(pivots[:n], L[:, :n], C[:, :n], res):
             break
-    return (pivots[:steps_taken], L[:, :steps_taken], C[:, :steps_taken],
-            remaining[:steps_taken], indefinite)
+    return pivots[:n], L[:, :n], C[:, :n], False
 
 
 def _skeleton_coefficients(C, pivots, k):
@@ -719,13 +709,14 @@ def _skeleton_coefficients(C, pivots, k):
     return c
 
 
-def _skeleton_ctd_from_cols(U, C, pivots, k):
-    """The refit of U onto ``pivots[:k]`` (:func:`_skeleton_coefficients`)
-    as a CTD; returns (V, c).  The skeleton's columns are gathered one
-    dimension at a time, so only one dimension's gathered copy is alive next
-    to the result."""
+def _skeleton_ctd_from_cols(U, C, pivots, k, c=None):
+    """The refit of U onto ``pivots[:k]`` (:func:`_skeleton_coefficients`,
+    unless its weights ``c`` are given) as a CTD; returns (V, c).  The
+    skeleton's columns are gathered one dimension at a time, so only one
+    dimension's gathered copy is alive next to the result."""
     S = pivots[:k]
-    c = _skeleton_coefficients(C, pivots, k)
+    if c is None:
+        c = _skeleton_coefficients(C, pivots, k)
     return _normalized(c * U.svalues[S], (F[:, S] for F in U.factors)), c
 
 
@@ -758,33 +749,6 @@ def _half_gram_cols(factors, r, c, e):
     return G
 
 
-def _cholesky_in_place(X):
-    """Overwrite the lower triangle of the symmetric X with its Cholesky
-    factor and zero the rest; returns False, with X partly overwritten, if X
-    is not numerically positive definite.
-
-    It works on blocks of ``_BLOCK`` columns: it factors a diagonal block,
-    solves the panel below it, and updates the trailing lower triangle one
-    column block at a time, so unlike :func:`numpy.linalg.cholesky` it holds
-    no second array of X's size.
-    """
-    n = X.shape[0]
-    for k in range(0, n, _BLOCK):
-        e = min(k + _BLOCK, n)
-        try:
-            D = np.linalg.cholesky(X[k:e, k:e])
-        except np.linalg.LinAlgError:
-            return False
-        X[k:e, k:e] = D
-        X[k:e, e:] = 0.0
-        if e < n:
-            X[e:, k:e] = np.linalg.solve(D, X[e:, k:e].T).T
-            for c in range(e, n, _BLOCK):
-                ce = min(c + _BLOCK, n)
-                X[c:, c:ce] -= X[c:, k:e] @ X[c:ce, k:e].T.copy()
-    return True
-
-
 def _self_inner(U, A=None):
     """<U, U>, summed one column block of the term Gram at a time, so that
     no r x r array is held.
@@ -813,14 +777,17 @@ def _split_gram(U):
     never holds the second half's B.  A is numerically singular wherever the
     first half holds fewer than r independent directions, so L is the
     Cholesky factor of A + delta I, with delta = n eps max_l A_ll for n =
-    sum_j M_j + r, formed in A's own buffer; L is None if even that is not
-    numerically positive definite.
+    sum_j M_j + r; L is None if even that is not numerically positive
+    definite.
     """
     r = U.rank
     A = np.empty((r, r))
     uu = _self_inner(U, A)
     A.flat[::r + 1] += (sum(U.modes) + r) * _EPS * float(A.diagonal().max())
-    return (A if _cholesky_in_place(A) else None), uu
+    try:
+        return np.linalg.cholesky(A), uu
+    except np.linalg.LinAlgError:
+        return None, uu
 
 
 def _flattening_bound(U, L, w, goal):
@@ -845,13 +812,8 @@ def _flattening_bound(U, L, w, goal):
     an estimate, not a proved bound.  Where it alone exceeds goal^2 this
     returns None.
 
-    The matrix is built in the lower triangle of one r x r buffer next to
-    L, which is all the Cholesky reads: the lower triangle and diagonal
-    blocks of -W B W L, a row block at a time from B's column blocks (B is
-    symmetric), then -L^T W B W L a column block at a time, in place.  Each
-    product reads only L's lower triangle and has an inner dimension of at
-    most ``_BLOCK``, so the panels OpenBLAS packs it into, in buffers that
-    stay resident once touched, are that deep and not r.
+    W B W is written into one r x r array, a column block of B at a time
+    (:func:`_half_gram_cols`), and multiplied by L on both sides.
     """
     r = U.rank
     aw = np.abs(w)
@@ -859,27 +821,21 @@ def _flattening_bound(U, L, w, goal):
     if g2 <= 0.0:
         return None
     right = U.factors[U.ndim // 2:]
-    Y = np.empty((r, r))
-    for a in range(0, r, _BLOCK):
-        b = min(a + _BLOCK, r)
-        X = _half_gram_cols(right, r, a, b).T * w  # rows a:b of B W
-        out = Y[a:b, :b]
-        out[:] = 0.0
-        for k in range(0, r, _BLOCK):
-            e = min(k + _BLOCK, r)
-            out[:, :min(e, b)] += X[:, k:e] @ L[k:e, :min(e, b)]
-        out *= -w[a:b, None]
-    col = np.empty((r, _BLOCK))
+    X = np.empty((r, r))
     for c in range(0, r, _BLOCK):
-        b = min(c + _BLOCK, r)
-        out = col[c:, :b - c]  # rows c: of column block c:b of L^T Y
-        out[:] = 0.0
-        for k in range(c, r, _BLOCK):
-            e = min(k + _BLOCK, r)
-            out[:e - c] += L[k:e, c:e].T @ Y[k:e, c:b]
-        Y[c:, c:b] = out
-    Y.flat[::r + 1] += g2
-    return goal if _cholesky_in_place(Y) else None
+        e = min(c + _BLOCK, r)
+        X[:, c:e] = _half_gram_cols(right, r, c, e)
+    X *= w
+    X *= w[:, None]
+    X = X @ L  # rebinding X frees each product once the next is formed
+    X = L.T @ X
+    X *= -1.0
+    X.flat[::r + 1] += g2
+    try:
+        np.linalg.cholesky(X)
+    except np.linalg.LinAlgError:
+        return None
+    return goal
 
 
 def _skeleton_search(U, cfg, goal, uu=None):
@@ -887,36 +843,30 @@ def _skeleton_search(U, cfg, goal, uu=None):
     both norms.
 
     One pivoted Cholesky (:func:`_pivoted_cholesky_lazy`) of at most
-    min(r - 1, max_rank) pivots picks the skeleton, and the first skeleton
-    k whose error meets the goal is accepted.  The Cholesky fetches only the
-    Gram columns it pivots on.  Only two things depend on whether
-    uu = <U, U> is given: where the Cholesky stops, and how the error of
-    skeleton k is read.
+    min(r - 1, max_rank) pivots picks the skeleton.  It offers each new
+    skeleton k to this search, which reads its error and stops the
+    Cholesky at the first that meets the goal, so no Gram column past the
+    accepted skeleton is fetched.  Only the reading of the error depends on
+    whether uu = <U, U> is given.
 
-    * With ``uu``, in the Frobenius norm and for ALS, the Cholesky tracks
+    * With ``uu``, in the Frobenius norm and for ALS, the Cholesky offers
       the exact squared residual of the least-squares refit on its pivots,
-      ||U||^2 - ||P_S U||^2, and an exhausted diagonal leaves a residual of
-      0.  In the Frobenius norm the error is the residual's root, and the
-      Cholesky stops at the goal.  In the s-norm it is the bound
-      :func:`_frobenius_bound` makes of the residual, and the Cholesky stops
-      at sqrt(goal^2 - allowance) * (1 - 4 eps): a residual within that
-      passes the bound, so the search accepts at or before the stop.  Where
-      the allowance alone exceeds goal^2 no residual can pass, and the
-      Cholesky runs to the cap.
-    * Without ``uu``, in the interpolative s-norm, the Cholesky stops at
-      0.1 * goal on the unselected diagonal mass.  The search starts at the
-      first skeleton whose mass is at most goal^2, or at the cap if that
-      comes first.  A skeleton whose mass is within 0.1 * goal is accepted
-      on that estimate (see :class:`ReductionResult` for why it is not a
-      bound).  Otherwise, up to input rank 512 (``_SNORM_GRAM_MAX_RANK``),
-      it is bounded from the half Grams of U's balanced split
-      (:func:`_split_gram`), formed once at the first such skeleton: first
-      by its refit's Frobenius residual, <U, U> - ||L^T 1||^2, then by the
-      spectral norm of its residual's balanced flattening
-      (:func:`_flattening_bound`).  Since ALS weight <= s-norm <= flattening
-      norm <= Frobenius norm, a skeleton either bound settles is one ALS
-      would accept too.  Above the gate, and where neither bound settles
-      it, its error is measured on the input's own terms
+      ||U||^2 - ||P_S U||^2, and an exhausted diagonal a residual of 0.  In
+      the Frobenius norm the error is the residual's root; in the s-norm it
+      is the bound :func:`_frobenius_bound` makes of the residual.
+    * Without ``uu``, in the interpolative s-norm, the Cholesky offers the
+      unselected diagonal mass.  A skeleton is read only where that mass is
+      at most goal^2, or at the cap.  A skeleton whose mass is within 0.1 *
+      goal is accepted on that estimate (see :class:`ReductionResult` for
+      why it is not a bound).  Otherwise, up to input rank 512
+      (``_SNORM_GRAM_MAX_RANK``), it is bounded from the half Grams of U's
+      balanced split (:func:`_split_gram`), formed once at the first such
+      skeleton: first by its refit's Frobenius residual, <U, U> - ||L^T
+      1||^2, then by the spectral norm of its residual's balanced
+      flattening (:func:`_flattening_bound`).  Since ALS weight <= s-norm
+      <= flattening norm <= Frobenius norm, a skeleton either bound settles
+      is one ALS would accept too.  Above the gate, and where neither bound
+      settles it, its error is measured on the input's own terms
       (:func:`_skeleton_residual`), so a measurement holds no second copy
       of U.  A measurement stops once it exceeds the goal, so a measured
       error is a lower bound.
@@ -925,57 +875,57 @@ def _skeleton_search(U, cfg, goal, uu=None):
     the least-error one is kept as ``best``, ties going to the larger.
 
     Returns (pivots, C, accepted, best, indefinite), each of ``accepted``
-    and ``best`` a skeleton (error, k) or None.  An indefinite Gram gives
-    neither, and the pivots found before the break.
+    and ``best`` a skeleton (error, k, c) or None, with c its refit weights
+    where the search computed them, else None.  An indefinite Gram gives
+    the pivots found before the break, and no accepted skeleton: the
+    Cholesky stops at the one it accepts, so it breaks only before it.
     """
     frobenius = cfg.norm == "frobenius"
     capped = cfg.max_rank is not None and cfg.max_rank < U.rank
-    exact = uu is not None
-    if frobenius:
-        bound = goal
-    elif exact:
-        room = goal * goal - _rounding_allowance(U)
-        bound = np.sqrt(room) * (1.0 - 4.0 * _EPS) if room > 0.0 else None
-    else:
-        bound = 0.1 * goal
-    pivots, L, C, remaining, indefinite = _pivoted_cholesky_lazy(
-        U, bound, uu=uu, max_pivots=min(U.rank - 1, cfg.max_rank or U.rank))
-    if indefinite:
-        return pivots, C, None, None, True
-    start = 1
-    if not exact:  # clamped to the cap only: a start past the pivots reads none
-        mass = np.flatnonzero(remaining <= goal * goal)
-        start = min(mass[0] + 1 if mass.size else len(pivots) + 1, cfg.max_rank or U.rank)
-    best = split = None  # split is _split_gram(U), formed when first read
-    for k in range(start, len(pivots) + 1):
-        err = _root(remaining[k - 1])
-        if exact and not frobenius:
-            err = _frobenius_bound(remaining[k - 1], U, goal)
-        elif not exact and err > bound:
-            R = _skeleton_residual(U, pivots[:k], _skeleton_coefficients(C, pivots, k))
+    accepted = best = split = None  # split is _split_gram(U), formed when first read
+
+    def offer(pivots, L, C, res):
+        nonlocal accepted, best, split
+        k, c = len(pivots), None
+        err = _root(res)
+        if uu is not None and not frobenius:
+            err = _frobenius_bound(res, U, goal)
+        elif uu is None and res > goal * goal and k != cfg.max_rank:
+            return False
+        elif uu is None and err > 0.1 * goal:
+            c = _skeleton_coefficients(C, pivots, k)
+            R = _skeleton_residual(U, pivots, c)
             err = None
             if U.rank <= _SNORM_GRAM_MAX_RANK:
                 if split is None:
                     split = _split_gram(U)
-                    proj = np.cumsum(L.sum(axis=0) ** 2)
                 half_factor, split_uu = split
-                err = _frobenius_bound(split_uu - proj[k - 1], U, goal)
+                # ||L^T 1||^2, each column summed in row order
+                proj = np.cumsum(np.cumsum(L, axis=0)[-1] ** 2)[-1]
+                err = _frobenius_bound(split_uu - proj, U, goal)
                 if err is None and half_factor is not None:
                     err = _flattening_bound(U, half_factor, R.svalues, goal)
             if err is None:
                 err = rank_one_approx(R, goal=goal).svalue
         if err is not None and err <= goal:
-            return pivots, C, (err, k), None, False
+            accepted = (err, k, c)
+            return True
         if capped and err is not None and (best is None or err <= best[0]):
-            best = (err, k)
-    return pivots, C, None, best, False
+            best = (err, k, c)
+        return False
+
+    pivots, _, C, indefinite = _pivoted_cholesky_lazy(
+        U, offer, uu=uu, max_pivots=min(U.rank - 1, cfg.max_rank or U.rank))
+    return pivots, C, accepted, best, indefinite
 
 
 def _built(U, C, pivots, found):
-    """(error, V) for a skeleton (error, k) of a search, or None."""
+    """(error, V) for a skeleton (error, k, c) of a search, or None; the
+    refit weights are computed only where the search left c None."""
     if found is None:
         return None
-    return found[0], _skeleton_ctd_from_cols(U, C, pivots, found[1])[0]
+    err, k, c = found
+    return err, _skeleton_ctd_from_cols(U, C, pivots, k, c)[0]
 
 
 def reduce(U, cfg):
@@ -995,7 +945,9 @@ def reduce(U, cfg):
     the search's skeleton; ALS fits only below it (:func:`_als_reduce`).
     An interpolative search that meets an indefinite Gram falls back to
     ALS, flagged, with no skeleton: the fits start from the pivots found
-    before the break, and the s-norm first sums <U, U> for them.
+    before the break, and the s-norm first sums <U, U> for them.  The
+    search stops at the skeleton it accepts, so a break can only come
+    before it.
     """
     if not isinstance(cfg, ReductionConfig):
         raise TypeError("cfg must be a ReductionConfig")

@@ -1,5 +1,6 @@
 """Memory checks on the squaring path: a step holds one unreduced square,
-and a reduction holds no r x r array.
+a Frobenius reduction holds no r x r array, and the s-norm flattening test
+at most three.
 
 Each bound is assembled from the sizes of the arrays involved, and the peak
 is read with ``tracemalloc``, which sees NumPy's data allocations.  Inputs
@@ -101,6 +102,33 @@ def test_snorm_measurement_holds_no_copy_of_its_input(monkeypatch):
     # Q's own terms
     assert len(fitted) >= 2 and set(fitted) == {Q.rank}
     assert res.tolerance_met and res.rank < Q.rank
+
+
+def test_snorm_flattening_test_holds_three_term_arrays(monkeypatch):
+    # A rank-496 square, just below the rank gate, whose skeleton only the
+    # balanced-flattening test settles.  That test holds three r x r arrays
+    # at once: the half-Gram factor L, W B W and its product with L, or
+    # LAPACK's factor of g^2 I - L^T W B W L.  Next to them are the
+    # Cholesky's Gram-column buffers, r x 64 each here.
+    rng = np.random.default_rng(0)
+    Y, _ = plant_spike(background_instance(4, 100, 4, rng), rng, spike_add=4.0)
+    cfg = ReductionConfig(epsilon=1e-6, norm="snorm")
+    for _ in range(2):
+        Y = reduce(square(scale(Y, 1.0 / frobenius_norm(Y))), cfg).ctd
+    Q = square(scale(Y, 1.0 / frobenius_norm(Y)))
+    assert 400 < Q.rank <= reduction._SNORM_GRAM_MAX_RANK
+    settled = []
+    flattening = reduction._flattening_bound
+
+    def recording(*args):
+        settled.append(flattening(*args) is not None)
+        return settled[-1]
+
+    monkeypatch.setattr(reduction, "_flattening_bound", recording)
+    res, peak = traced_peak(reduce, Q, cfg)
+    assert settled and settled[-1]
+    assert res.tolerance_met and res.rank < Q.rank
+    assert peak < 3.5 * 8 * Q.rank ** 2
 
 
 def test_squaring_search_holds_one_unreduced_square(monkeypatch):

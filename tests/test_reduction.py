@@ -243,7 +243,7 @@ class TestInterpolative:
         A = spike_ctd((4, 4), (0, 0), 2.0)
         B = spike_ctd((4, 4), (3, 3), 2.0)
         U = add(A, B)
-        pivots, _, _, _, indefinite = reduction_mod._pivoted_cholesky_lazy(U)
+        pivots, _, _, indefinite = reduction_mod._pivoted_cholesky_lazy(U)
         assert not indefinite
         assert pivots[0] == 0
 
@@ -433,7 +433,7 @@ class TestSkeletonResidual:
         R = reduction_mod._skeleton_residual(U, S, c)
         assert self.dense_gap(U, V, R) <= tol
         # the refit's own coefficients, at every skeleton size
-        pivots, _, C, _, _ = reduction_mod._pivoted_cholesky_lazy(U)
+        pivots, _, C, _ = reduction_mod._pivoted_cholesky_lazy(U)
         for k in range(1, len(pivots)):
             V, c = reduction_mod._skeleton_ctd_from_cols(U, C, pivots, k)
             R = reduction_mod._skeleton_residual(U, pivots[:k], c)
@@ -503,8 +503,23 @@ def dense_pivoted_cholesky(G, bound):
 
 
 class TestStoppedCholesky:
-    """``bound`` stops the pivoted Cholesky at the first certificate
-    sqrt(max(remaining[k], 0)) <= bound, as a prefix of the full run."""
+    """``accept`` is offered each new skeleton with its squared residual
+    and stops the pivoted Cholesky at the first True, as a prefix of the
+    full run; here it stops at the first sqrt(max(res, 0)) <= bound."""
+
+    @staticmethod
+    def _run(U, bound=None):
+        """(pivots, L, C, indefinite, offers): the Cholesky of U whose
+        ``accept`` records each offer as (k, res), stopped at ``bound``."""
+        offers = []
+
+        def accept(pivots, L, C, res):
+            k = len(pivots)
+            assert L.shape[1] == C.shape[1] == k
+            offers.append((k, res))
+            return bound is not None and np.sqrt(max(res, 0.0)) <= bound
+
+        return (*reduction_mod._pivoted_cholesky_lazy(U, accept), offers)
 
     @staticmethod
     def _bound(remaining, pick, factor):
@@ -515,20 +530,26 @@ class TestStoppedCholesky:
     # factor 1.0 puts the bound exactly on a certificate, which must stop
     @given(_small_ctds, st.integers(0, 7), st.just(1.0) | st.floats(0.5, 2.0))
     def test_prefix_of_full_factorization(self, U, pick, factor):
-        full = reduction_mod._pivoted_cholesky_lazy(U)
-        piv, L, C, rem, indef = full
+        *full, offers = self._run(U)
+        piv, L, C, indef = full
+        rem = np.array([res for _, res in offers])
+        # every skeleton is offered in order; an exhausted diagonal offers
+        # the last one once more, with residual 0
+        assert [k for k, _ in offers[:len(piv)]] == list(range(1, len(piv) + 1))
+        assert offers[len(piv):] in ([], [(len(piv), 0.0)])
         assert indef or rem[-1] <= 0.0  # no bound: runs to exhaustion
         for got, want in zip(reduction_mod._pivoted_cholesky_lazy(U, None), full):
             assert np.array_equal(got, want)
         bound, cert = self._bound(rem, pick, factor)
         met = np.flatnonzero(cert <= bound)
-        steps = met[0] + 1 if met.size else len(piv)
-        s_piv, s_L, s_C, s_rem, s_indef = reduction_mod._pivoted_cholesky_lazy(U, bound)
+        stop = met[0] + 1 if met.size else len(offers)
+        steps = offers[stop - 1][0] if met.size else len(piv)
+        s_piv, s_L, s_C, s_indef, s_offers = self._run(U, bound)
         assert len(s_piv) == steps
         assert np.array_equal(s_piv, piv[:steps])
         assert np.array_equal(s_L, L[:, :steps])
         assert np.array_equal(s_C, C[:, :steps])
-        assert np.array_equal(s_rem, rem[:steps])
+        assert s_offers == offers[:stop]
         assert s_indef == (indef and not met.size)
 
     @settings(max_examples=80, deadline=None, derandomize=True)
@@ -545,12 +566,13 @@ class TestStoppedCholesky:
         bound, _ = self._bound(rem, pick, 1.001)
         bound = max(bound, 1e-6 * np.sqrt(scale_))
         piv, L, rem = dense_pivoted_cholesky(G, bound)
-        l_piv, l_L, l_C, l_rem, l_indef = reduction_mod._pivoted_cholesky_lazy(U, bound)
+        l_piv, l_L, l_C, l_indef, offers = self._run(U, bound)
         assert not l_indef
         assert np.array_equal(l_piv, piv)
         assert_allclose(l_C, G[:, piv], rtol=0, atol=1e-12 * scale_)
         assert_allclose(l_L, L, rtol=0, atol=1e-10 * np.sqrt(scale_))
-        assert_allclose(l_rem, rem, rtol=0, atol=1e-12 * scale_)
+        assert [k for k, _ in offers] == list(range(1, len(piv) + 1))
+        assert_allclose([res for _, res in offers], rem, rtol=0, atol=1e-12 * scale_)
         S = l_piv
         assert_allclose(l_L[S] @ l_L[S].T, G[np.ix_(S, S)], rtol=0, atol=1e-12 * scale_)
 
@@ -590,10 +612,17 @@ class TestDistinctTermOrder:
         pivots = []
 
         def factor(full):
-            def run(U, bound=None, uu=None, max_pivots=None):
-                if full:
-                    bound = max_pivots = None
-                out = cholesky(U, bound, uu=uu, max_pivots=max_pivots)
+            def run(U, accept=None, uu=None, max_pivots=None):
+                if full:  # the search reads every skeleton up to its accepted one
+                    read, done = accept, []
+
+                    def accept(*skeleton):
+                        if not done and read(*skeleton):
+                            done.append(True)
+                        return False
+
+                    max_pivots = None
+                out = cholesky(U, accept, uu=uu, max_pivots=max_pivots)
                 pivots.append(len(out[0]))
                 return out
             return run
@@ -849,8 +878,9 @@ def frobenius_id_pivots(U, epsilon):
     ``epsilon``, as :func:`reduce` factors them."""
     uu = reduction_mod._self_inner(U)
     goal = epsilon * np.sqrt(uu)
-    pivots, _, C, _, indefinite = reduction_mod._pivoted_cholesky_lazy(
-        U, goal, uu=uu, max_pivots=U.rank - 1)
+    pivots, _, C, indefinite = reduction_mod._pivoted_cholesky_lazy(
+        U, lambda pivots, L, C, res: np.sqrt(max(res, 0.0)) <= goal, uu=uu,
+        max_pivots=U.rank - 1)
     assert not indefinite
     return pivots, C
 
@@ -1160,7 +1190,7 @@ class TestSnormFlatteningBound:
                 reported = res.rel_error * s_norm(U)
                 assert flattening_norm(T) <= reported * (1 + 1e-12), seed
             half_factor, _ = reduction_mod._split_gram(U)
-            pivots, _, C, _, indefinite = reduction_mod._pivoted_cholesky_lazy(U)
+            pivots, _, C, indefinite = reduction_mod._pivoted_cholesky_lazy(U)
             assert half_factor is not None and not indefinite, seed
             for k in range(1, len(pivots) + 1):
                 c = reduction_mod._skeleton_coefficients(C, pivots, k)
@@ -1170,3 +1200,68 @@ class TestSnormFlatteningBound:
                 bound = reduction_mod._flattening_bound(U, half_factor, w, below)
                 assert bound is None, seed
         assert settled >= 5
+
+
+class TestSnormSearchStops:
+    """The interpolative s-norm search stops its Cholesky at the skeleton it
+    accepts, so no Gram column past it is fetched, and no break past it can
+    throw it away."""
+
+    @staticmethod
+    def fetched_columns(monkeypatch, poisoned=None):
+        """Patch ``_gram_column`` to record the pivot of every call; the
+        call numbered ``poisoned`` (from 1) returns its column times 1e6,
+        which drives the updated diagonal far below zero."""
+        fetched = []
+        column = reduction_mod._gram_column
+
+        def recorded(U, p):
+            fetched.append(p)
+            col = column(U, p)
+            return col * 1e6 if len(fetched) == poisoned else col
+
+        monkeypatch.setattr(reduction_mod, "_gram_column", recorded)
+        return fetched
+
+    @pytest.mark.parametrize("bound", ["split", "flattening"])
+    def test_fetches_only_the_skeleton_columns(self, monkeypatch, bound):
+        # Each skeleton leaves an unselected mass between 0.01 and 1 goal^2,
+        # so it is read, and its bound settles it: the split refit residual
+        # for W's two terms, the balanced flattening for the cancelling
+        # input.  Nothing is measured.
+        if bound == "split":
+            epsilon = 1e-3
+            U = noisy_repeats(2, 0.5, epsilon)
+        else:
+            U, epsilon = cancelling_input(0)
+        verdicts = []
+        flattening = reduction_mod._flattening_bound
+
+        def recorded(*args):
+            verdicts.append(flattening(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(reduction_mod, "_flattening_bound", recorded)
+        goals = goal_calls(monkeypatch)
+        fetched = self.fetched_columns(monkeypatch)
+        res = reduce(U, ReductionConfig(epsilon=epsilon, norm="snorm", algorithm="id"))
+        assert res.algorithm == "id" and res.tolerance_met
+        assert res.rank < U.rank
+        assert goals == []
+        assert (verdicts[-1] is not None) if bound == "flattening" else verdicts == []
+        assert len(fetched) == res.rank
+
+    def test_break_after_the_accepted_skeleton_keeps_it(self, monkeypatch):
+        # The third pivot's column would break the factorization; the
+        # skeleton of W's two terms is accepted before it is fetched.
+        U = noisy_repeats(2, 0.5, 1e-3)
+        cfg = ReductionConfig(epsilon=1e-3, norm="snorm", algorithm="id")
+        want = reduce(U, cfg)
+        assert want.rank == 2
+        fetched = self.fetched_columns(monkeypatch, poisoned=3)
+        res = reduce(U, cfg)
+        assert res.algorithm == "id" and not res.fallback_to_als
+        assert res.rank == 2 and res.tolerance_met
+        assert len(fetched) == 2
+        assert res.rel_error == want.rel_error
+        assert np.array_equal(res.ctd.svalues, want.ctd.svalues)
