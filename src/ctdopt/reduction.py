@@ -54,6 +54,8 @@ _EPS = np.finfo(float).eps
 _SNORM_GRAM_MAX_RANK = 512
 # Columns per block of the term Gram sums and the half Grams.
 _BLOCK = 64
+# Samples per block of the range finder that compresses a measured factor.
+_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -122,9 +124,11 @@ class ReductionResult:
       ``rel_error`` is then epsilon itself, an upper bound.
     * An ALS lower bound: otherwise a measured error is the weight of a
       single-start rank-one fit, a lower bound on the s-norm of the
-      difference; the interpolative path measures it on the input's own
-      terms (see :func:`_skeleton_search`), ALS on the concatenated
-      difference.
+      difference.  The interpolative path measures it on the input's own
+      terms, with each factor in the coordinates of its numerical column
+      space where that space takes at most half its rows, so the copy takes
+      at most half the factor bytes (see :func:`_skeleton_search`); ALS
+      measures it on the concatenated difference.
     * A mass estimate: the interpolative path accepts a skeleton on its
       Cholesky estimate without a bound or a measurement where that meets
       the tolerance with a tenfold margin, and ``rel_error`` is that
@@ -838,6 +842,46 @@ def _flattening_bound(U, L, w, goal):
     return goal
 
 
+def _max_sq_column(F):
+    """The largest squared column norm of F."""
+    return float(np.max(np.einsum("ij,ij->j", F, F)))
+
+
+def _column_coordinates(F):
+    """(Q, Q^T F) for an orthonormal basis Q of the numerical column space of
+    the M x r factor F, where Q has at most M / 2 columns; else (None, F),
+    with F the same array.
+
+    Q comes from an adaptive randomized range finder (Halko, Martinsson &
+    Tropp, SIAM Rev. 53, 2011) with a fixed seed, so it is the same on every
+    call.  Each block of 8 samples F Omega is projected off Q and
+    orthonormalized by a QR, twice, so that it is orthogonal to Q to working
+    precision.  Q is kept once the explicit residual max_l ||f_l - Q Q^T
+    f_l||, formed a column block of F at a time, is at most tol = M eps
+    max_l ||f_l||.  That residual is formed only where the next block's
+    samples, projected off Q, are each within 10 sqrt(r) tol: the expected
+    square of each is the residual's squared Frobenius norm, at most r tol^2
+    where the residual is within tol.
+    """
+    M, r = F.shape
+    tol_sq = (M * _EPS) ** 2 * _max_sq_column(F)
+    rng = np.random.default_rng(0)
+    Q = np.empty((M, 0))
+    while True:
+        Y = F @ rng.standard_normal((r, _SAMPLES))
+        Y -= Q @ (Q.T @ Y)
+        if Q.shape[1] and _max_sq_column(Y) <= 100.0 * r * tol_sq:
+            residual = max(_max_sq_column(F[:, c:c + _BLOCK] - Q @ (Q.T @ F[:, c:c + _BLOCK]))
+                           for c in range(0, r, _BLOCK))
+            if residual <= tol_sq:
+                return Q, Q.T @ F
+        if Q.shape[1] + _SAMPLES > M // 2:
+            return None, F
+        Y = np.linalg.qr(Y)[0]
+        Y -= Q @ (Q.T @ Y)
+        Q = np.hstack([Q, np.linalg.qr(Y)[0]])
+
+
 def _skeleton_search(U, cfg, goal, uu=None):
     """The one skeleton search of :func:`reduce`, for both algorithms and
     both norms.
@@ -867,9 +911,19 @@ def _skeleton_search(U, cfg, goal, uu=None):
       <= flattening norm <= Frobenius norm, a skeleton either bound settles
       is one ALS would accept too.  Above the gate, and where neither bound
       settles it, its error is measured on the input's own terms
-      (:func:`_skeleton_residual`), so a measurement holds no second copy
-      of U.  A measurement stops once it exceeds the goal, so a measured
-      error is a lower bound.
+      (:func:`_skeleton_residual`).  A measurement stops once it exceeds
+      the goal, so a measured error is a lower bound.
+    * The measurement fits in the coordinates of each factor's numerical
+      column space (:func:`_column_coordinates`), formed once at the first
+      measured skeleton: Q_j^T F_j where the basis Q_j has at most M_j / 2
+      columns, else F_j itself, so the copy takes at most half of U's
+      factor bytes.  The s-norm does not change under an isometry in each
+      mode, and the fit's iterates map one to one (v_j = Q_j v~_j), with
+      two differences.  Each column moves by at most tol = M_j eps, which
+      moves a weight by at most d tol sum|w| for the weights w, the order of
+      the fit's own rounding.  And the fit's uniform restart, reached only
+      when an update falls below eps sum|w|, runs in the compressed
+      coordinates.
 
     Under a ``max_rank`` cap below rank(U), where no skeleton is accepted,
     the least-error one is kept as ``best``, ties going to the larger.
@@ -882,10 +936,12 @@ def _skeleton_search(U, cfg, goal, uu=None):
     """
     frobenius = cfg.norm == "frobenius"
     capped = cfg.max_rank is not None and cfg.max_rank < U.rank
-    accepted = best = split = None  # split is _split_gram(U), formed when first read
+    # split is _split_gram(U), and columns U's factors in the coordinates of
+    # their column spaces, each formed when first read
+    accepted = best = split = columns = None
 
     def offer(pivots, L, C, res):
-        nonlocal accepted, best, split
+        nonlocal accepted, best, split, columns
         k, c = len(pivots), None
         err = _root(res)
         if uu is not None and not frobenius:
@@ -906,6 +962,9 @@ def _skeleton_search(U, cfg, goal, uu=None):
                 if err is None and half_factor is not None:
                     err = _flattening_bound(U, half_factor, R.svalues, goal)
             if err is None:
+                if columns is None:
+                    columns = [_column_coordinates(F)[1] for F in U.factors]
+                R = CTD(R.svalues, columns, validate=False)
                 err = rank_one_approx(R, goal=goal).svalue
         if err is not None and err <= goal:
             accepted = (err, k, c)

@@ -32,6 +32,17 @@ def random_signed_ctd(modes, rank, rng):
     return random_ctd(modes, rank, low=-1.0, high=1.0, rng=rng)
 
 
+def gaussian_sum(terms, ndim, points, widths):
+    """Equal-weight sum of ``terms`` separable Gaussians exp(-a x^2) on
+    ``points`` points of [-1, 1] per dimension, with widths a spaced
+    geometrically over ``widths``: numerically of low rank, and fitted by
+    ALS in fewer terms than its Frobenius skeleton."""
+    x = np.linspace(-1.0, 1.0, points)
+    F = np.exp(-np.outer(x * x, np.geomspace(*widths, terms)))
+    F /= np.linalg.norm(F, axis=0)
+    return CTD(np.ones(terms), [F.copy() for _ in range(ndim)])
+
+
 def random_modes(rng, d_choices=(2, 3, 4), max_mode=8):
     d = int(rng.choice(d_choices))
     return tuple(int(rng.integers(2, max_mode + 1)) for _ in range(d))

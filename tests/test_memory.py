@@ -1,6 +1,8 @@
 """Memory checks on the squaring path: a step holds one unreduced square,
 a Frobenius reduction holds no r x r array, and the s-norm flattening test
-at most three.
+at most three.  An s-norm measurement fits on the input's own factors, or,
+where a factor's numerical column space takes at most half its rows, on a
+copy of it in that space's coordinates.
 
 Each bound is assembled from the sizes of the arrays involved, and the peak
 is read with ``tracemalloc``, which sees NumPy's data allocations.  Inputs
@@ -16,7 +18,7 @@ from ctdopt import ReductionConfig, frobenius_norm, random_ctd, reduce, scale, s
 from ctdopt import maxentry, reduction
 from ctdopt.experiments import background_instance, plant_spike
 from ctdopt.maxentry import FixedIterations, MaxEntrySearchConfig, squaring_max
-from conftest import random_signed_ctd
+from conftest import gaussian_sum, random_signed_ctd
 
 
 def nbytes(U):
@@ -64,14 +66,14 @@ def snorm_square(steps):
     return square(scale(Y, 1.0 / frobenius_norm(Y))), cfg
 
 
-def traced_snorm_reduce(monkeypatch, Q, cfg):
-    """(result, peak bytes, the ranks of the CTDs rank_one_approx fitted)
-    of the s-norm reduction of Q."""
+def traced_snorm_reduce(monkeypatch, Q, cfg, key=lambda U: U.rank):
+    """(result, peak bytes, ``key`` of each CTD rank_one_approx fitted, by
+    default its rank) of the s-norm reduction of Q."""
     fitted = []
     fit = reduction.rank_one_approx
 
     def recording(U, *args, **kwargs):
-        fitted.append(U.rank)
+        fitted.append(key(U))
         return fit(U, *args, **kwargs)
 
     monkeypatch.setattr(reduction, "rank_one_approx", recording)
@@ -86,8 +88,8 @@ def test_snorm_reduce_holds_no_copy_of_its_input(monkeypatch):
     assert Q.rank <= reduction._SNORM_GRAM_MAX_RANK
     res, peak, fitted = traced_snorm_reduce(monkeypatch, Q, cfg)
     assert peak < factor_bytes(Q)
-    # every fit is on Q's own terms; the answer is a smaller skeleton, not
-    # Q itself
+    # every fit is on Q's own terms and factors; the answer is a smaller
+    # skeleton, not Q itself
     assert fitted and set(fitted) == {Q.rank}
     assert res.tolerance_met and res.rank < Q.rank
 
@@ -101,6 +103,28 @@ def test_snorm_measurement_holds_no_copy_of_its_input(monkeypatch):
     # s_norm(Q) first, then at least one measured skeleton, every fit on
     # Q's own terms
     assert len(fitted) >= 2 and set(fitted) == {Q.rank}
+    assert res.tolerance_met and res.rank < Q.rank
+
+
+def test_snorm_measurement_fits_in_the_column_spaces(monkeypatch):
+    # A rank-528 square of a sum of Gaussians, above the rank gate, so a
+    # skeleton's error is measured.  Its factor columns are products of
+    # Gaussians, of numerical rank far below their 400 rows, so the
+    # measurement fits on Q's terms in each factor's column-space
+    # coordinates: a copy of under half of Q's factor bytes.
+    Y = gaussian_sum(32, 3, 400, (1.0, 100.0))
+    Q = square(scale(Y, 1.0 / frobenius_norm(Y)))
+    cfg = ReductionConfig(epsilon=1e-6, norm="snorm")
+    assert Q.rank > reduction._SNORM_GRAM_MAX_RANK
+    res, peak, fitted = traced_snorm_reduce(monkeypatch, Q, cfg,
+                                            key=lambda U: (U.rank, U.modes))
+    assert peak < factor_bytes(Q)
+    # s_norm(Q) first, on Q's factors, then at least one measured skeleton,
+    # each on Q's terms and on at most half of each factor's rows
+    assert len(fitted) >= 2 and fitted[0] == (Q.rank, Q.modes)
+    for rank, modes in fitted[1:]:
+        assert rank == Q.rank
+        assert all(m <= M // 2 for m, M in zip(modes, Q.modes))
     assert res.tolerance_met and res.rank < Q.rank
 
 

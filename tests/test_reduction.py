@@ -26,7 +26,7 @@ from ctdopt import (
 from ctdopt import reduction as reduction_mod
 from ctdopt.reduction import RankOneApprox
 from ctdopt.experiments import background_instance, plant_spike
-from conftest import random_modes, random_signed_ctd
+from conftest import gaussian_sum, random_modes, random_signed_ctd
 
 
 def duplicated_ctd(base, copies):
@@ -661,17 +661,6 @@ def count_calls(monkeypatch, *names):
     return calls
 
 
-def gaussian_sum(terms, ndim, points, widths):
-    """Equal-weight sum of ``terms`` separable Gaussians exp(-a x^2) on
-    ``points`` points of [-1, 1] per dimension, with widths a spaced
-    geometrically over ``widths``: numerically of low rank, and fitted by
-    ALS in fewer terms than its Frobenius skeleton."""
-    x = np.linspace(-1.0, 1.0, points)
-    F = np.exp(-np.outer(x * x, np.geomspace(*widths, terms)))
-    F /= np.linalg.norm(F, axis=0)
-    return CTD(np.ones(terms), [F.copy() for _ in range(ndim)])
-
-
 def three_directions_twice(rng):
     """Exactly rank 3, stored as rank 6: three random directions, each
     twice."""
@@ -1265,3 +1254,68 @@ class TestSnormSearchStops:
         assert len(fetched) == 2
         assert res.rel_error == want.rel_error
         assert np.array_equal(res.ctd.svalues, want.ctd.svalues)
+
+
+class TestColumnCoordinates:
+    """A measured skeleton's s-norm is fitted on each factor's coordinates in
+    an orthonormal basis of its numerical column space, where that basis
+    has at most half as many columns as the factor has rows."""
+
+    def test_smooth_factor_compresses(self):
+        # products exp(-a x^2) exp(-b x^2) of Gaussian columns on 124 points
+        F = square(gaussian_sum(32, 2, 124, (1.0, 100.0))).factors[0]
+        M = F.shape[0]
+        Q, C = reduction_mod._column_coordinates(F)
+        assert Q.shape[1] <= M // 2
+        tol = M * np.finfo(float).eps
+        assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= tol
+        residual = np.linalg.norm(F - Q @ (Q.T @ F), axis=0).max()
+        assert residual <= tol * np.linalg.norm(F, axis=0).max()
+        assert np.array_equal(C, Q.T @ F)
+        Q2, C2 = reduction_mod._column_coordinates(F)
+        assert np.array_equal(Q2, Q) and np.array_equal(C2, C)
+
+    def test_full_rank_factor_is_kept(self, rng):
+        F = rng.standard_normal((32, 305))
+        F /= np.linalg.norm(F, axis=0)
+        Q, C = reduction_mod._column_coordinates(F)
+        assert Q is None and C is F
+
+    def test_same_decisions_as_the_full_factors(self, monkeypatch):
+        # Every skeleton of these s-norm squares is measured, with the rank
+        # gate at 0.  Each measurement is repeated on the full factors: the
+        # weight moves by at most d tol sum|w|, for tol = M eps, and stays
+        # on the same side of the goal.
+        monkeypatch.setattr(reduction_mod, "_SNORM_GRAM_MAX_RANK", 0)
+        calls = []
+        measure = reduction_mod.rank_one_approx
+
+        def recorded(U, max_sweeps=500, goal=None):
+            out = measure(U, max_sweeps, goal)
+            if goal is not None:
+                calls.append((U, goal, out.svalue))
+            return out
+
+        monkeypatch.setattr(reduction_mod, "rank_one_approx", recorded)
+        Y = gaussian_sum(12, 3, 80, (0.5, 200.0))
+        compressed = 0
+        for _ in range(3):
+            Q = square(scale(Y, 1.0 / frobenius_norm(Y)))
+            del calls[:]
+            Y = reduce(Q, ReductionConfig(epsilon=1e-6, norm="snorm")).ctd
+            assert calls
+            for R, goal, weight in calls:
+                compressed += R.modes != Q.modes
+                full = measure(CTD(R.svalues, Q.factors, validate=False), goal=goal)
+                assert (weight > goal) == (full.svalue > goal)
+                tol = max(Q.modes) * np.finfo(float).eps
+                assert abs(weight - full.svalue) <= Q.ndim * tol * np.abs(R.svalues).sum()
+        assert compressed
+
+    def test_cancelling_residual_measures_zero(self):
+        X = gaussian_sum(12, 3, 80, (0.5, 200.0))
+        Z = add(X, scale(X, -1.0))
+        columns = [reduction_mod._column_coordinates(F)[1] for F in Z.factors]
+        assert all(C.shape[0] < M for C, M in zip(columns, Z.modes))
+        fit = rank_one_approx(CTD(Z.svalues, columns, validate=False))
+        assert fit.svalue <= 1e-12 * frobenius_norm(X)
