@@ -76,7 +76,11 @@ class ReductionConfig:
     The ALS path runs at most 200 sweeps per candidate rank, stops sweeping
     once the Frobenius residual improves by less than 1e-3 * epsilon *
     ||U||_F in a sweep, and adds a ridge of 1e-14 times the trace of the
-    Gram matrix to each normal-equations solve.
+    Gram matrix to each normal-equations solve.  In the Frobenius norm
+    without a ``max_rank`` cap it also gives up on a candidate rank once the
+    fit, at twice its last sweep's gain, would not meet the tolerance within
+    the 200 sweeps; the factor 2 is an estimate, not a bound (see
+    :func:`_als_fit`).
     """
 
     epsilon: float
@@ -462,25 +466,39 @@ def _rank_floor(U):
 
 def _als_fit(U, terms, cfg, uu, goal):
     """Fit a rank-``len(terms)`` CTD to U by ALS, started from U's terms
-    ``terms``, until its Frobenius residual meets ``goal`` or stalls;
-    returns (state, fro_residual, sweeps).
+    ``terms``, until its Frobenius residual meets ``goal``, stalls, or, in
+    an uncapped Frobenius reduction, is out of reach; returns (state,
+    fro_residual, sweeps).
 
     Every candidate rank of one reduction starts from a prefix of the same
     term order, the pivot order of the search's Cholesky (see
     :func:`_als_reduce`).
+
+    Out of reach: after sweep n, with gain = previous residual - residual,
+    the fit ends as failed once residual - goal > 2 * gain * (200 - n), that
+    is, once even at twice its current rate it would not meet the goal
+    within its sweep budget.  The factor 2 is an estimate, not a bound: a
+    fit can sit in a swamp and then speed up by more (Mohlenkamp, Linear
+    Algebra Appl. 438, 2013), and such a fit is then counted as failed.
+    The stop applies only in the Frobenius norm without a ``max_rank`` cap,
+    where a failed fit is used only for the fact that it failed.  In the
+    s-norm a fit that misses the goal in the Frobenius norm can still pass
+    its s-norm measurement, and under a cap the errors of failed fits are
+    compared, so both run every fit to the goal, a stall or the budget.
     """
     state = _AlsState(U, U.svalues[terms], [F[:, terms] for F in U.factors])
     stall = 1e-3 * cfg.epsilon * max(np.sqrt(uu), 1e-300)
+    out_of_reach_stop = cfg.norm == "frobenius" and cfg.max_rank is None
     res_prev = state.residual(uu)
-    sweeps = 0
-    for _ in range(_ALS_MAX_SWEEPS):
-        sweeps += 1
+    for sweeps in range(1, _ALS_MAX_SWEEPS + 1):
         for j in range(U.ndim):
             state.sweep_dim(j)
             if state.rank == 0:
                 return state, float(np.sqrt(uu)), sweeps
         res = state.residual(uu)
-        if res <= goal or res_prev - res < stall:
+        gain = res_prev - res
+        if res <= goal or gain < stall or (
+                out_of_reach_stop and res - goal > 2.0 * gain * (_ALS_MAX_SWEEPS - sweeps)):
             return state, res, sweeps
         res_prev = res
     return state, res_prev, sweeps

@@ -1,5 +1,7 @@
 """Rank-reduction contract checks, dense-verified where shapes allow."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,6 +26,7 @@ from ctdopt import (
     zero_ctd,
 )
 from ctdopt import reduction as reduction_mod
+from ctdopt import sepfunc
 from ctdopt.reduction import RankOneApprox
 from ctdopt.experiments import background_instance, plant_spike
 from conftest import gaussian_sum, random_modes, random_signed_ctd
@@ -959,6 +962,110 @@ class TestFrobeniusContract:
         assert res.tolerance_met
         assert res.rank == 2
         assert dense_rel_error(U, res.ctd) <= 1e-3
+
+
+def reference_als_fit(U, terms, cfg, uu, goal):
+    """The ALS fit as it was before it gave up on a fit out of reach: in
+    every norm it ran to the goal, a stall or the 200-sweep budget.  Where
+    every fit keeps its verdict, :func:`reduce` must return bitwise the same
+    result with :func:`_als_fit`."""
+    state = reduction_mod._AlsState(U, U.svalues[terms], [F[:, terms] for F in U.factors])
+    stall = 1e-3 * cfg.epsilon * max(np.sqrt(uu), 1e-300)
+    res_prev = state.residual(uu)
+    sweeps = 0
+    for _ in range(reduction_mod._ALS_MAX_SWEEPS):
+        sweeps += 1
+        for j in range(U.ndim):
+            state.sweep_dim(j)
+            if state.rank == 0:
+                return state, float(np.sqrt(uu)), sweeps
+        res = state.residual(uu)
+        if res <= goal or res_prev - res < stall:
+            return state, res, sweeps
+        res_prev = res
+    return state, res_prev, sweeps
+
+
+def reduce_and_reference(U, cfg):
+    """(reduce(U, cfg), the same with :func:`reference_als_fit`)."""
+    got = reduce(U, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction_mod, "_als_fit", reference_als_fit)
+        want = reduce(U, cfg)
+    return got, want
+
+
+def assert_same_reduction(got, want):
+    """Bitwise the same CTD, error and flags; the sweeps may differ."""
+    assert got.rel_error == want.rel_error
+    assert got.tolerance_met == want.tolerance_met
+    assert got.algorithm == want.algorithm
+    assert np.array_equal(got.ctd.svalues, want.ctd.svalues)
+    assert len(got.ctd.factors) == len(want.ctd.factors)
+    for a, b in zip(got.ctd.factors, want.ctd.factors):
+        assert np.array_equal(a, b)
+
+
+@pytest.fixture(scope="module")
+def ackley_sample():
+    """The unreduced d=10 Ackley sample of the ``file-als`` benchmark
+    workload: rank 76 on 124 points per dimension."""
+    p = sepfunc.AckleyParams(d=10)
+    g = sepfunc.build_gaussian_expansion(p.b, p.d, 1e-8, 3e-6, math.sqrt(p.d))
+    merged = sepfunc.merge_grids(sepfunc.build_radial_grid(g),
+                                 sepfunc.build_cosine_grid(p.c))
+    grid = sepfunc.Grid.uniform_product(merged, p.d, (-1.0, 1.0))
+    return sepfunc.sample_to_ctd(sepfunc.ackley_separated(p, g), grid)
+
+
+class TestAlsOutOfReach:
+    """An uncapped Frobenius ALS fit ends as failed once, at twice its last
+    sweep's gain, it would not meet the goal within its sweep budget.  The
+    s-norm and capped reductions run every fit as before."""
+
+    def test_ackley_sample_same_fit_in_fewer_sweeps(self, ackley_sample):
+        # The fits of ranks 8 and 12 miss the goal, by 21.6 and 2.56 times,
+        # after 200 and 181 sweeps; they now give up after 66 and 79.
+        got, want = reduce_and_reference(ackley_sample,
+                                         ReductionConfig(epsilon=1e-6, algorithm="als"))
+        assert got.rank == 14
+        assert_same_reduction(got, want)
+        assert got.sweeps < want.sweeps
+
+    def test_swamp_fit_still_meets_the_goal(self, ackley_sample, monkeypatch):
+        # At 1e-3 the rank-3 fit sits in a swamp: it gains 2.7e-3 goal per
+        # sweep at sweep 16, 5e-3 goal at sweep 120, and meets the goal at
+        # sweep 156.  At its current rate (a factor 1) it would give up at
+        # sweep 16, and ALS would return rank 4.
+        fitted = record_fitted_ranks(monkeypatch)
+        res = reduce(ackley_sample, ReductionConfig(epsilon=1e-3, algorithm="als"))
+        assert res.rank == 3
+        assert res.tolerance_met
+        assert fitted[-1] == 3
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(*_dependent_args, st.sampled_from([0.0, 1e-9, 1e-6, 1e-4, 1e-2]),
+           st.sampled_from([1e-3, 1e-6, 1e-8]))
+    def test_uncapped_frobenius_matches_reference(self, seed, rank, modes, copies,
+                                                  noise, epsilon):
+        U = _dependent_ctd(seed, rank, modes, copies, noise)
+        got, want = reduce_and_reference(U, ReductionConfig(epsilon=epsilon,
+                                                            algorithm="als"))
+        assert_same_reduction(got, want)
+        assert got.sweeps <= want.sweeps
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(*_dependent_args, st.sampled_from([0.0, 1e-6, 1e-2]),
+           st.sampled_from([1e-3, 1e-6]),
+           st.sampled_from([{"norm": "snorm"}, {"max_rank": 1}, {"max_rank": 3},
+                            {"norm": "snorm", "max_rank": 2}]))
+    def test_snorm_and_capped_fits_unchanged(self, seed, rank, modes, copies, noise,
+                                             epsilon, kwargs):
+        U = _dependent_ctd(seed, rank, modes, copies, noise)
+        got, want = reduce_and_reference(
+            U, ReductionConfig(epsilon=epsilon, algorithm="als", **kwargs))
+        assert_same_reduction(got, want)
+        assert got.sweeps == want.sweeps
 
 
 def noisy_repeats(copies, rel_noise, epsilon):
