@@ -76,11 +76,18 @@ class ReductionConfig:
     The ALS path runs at most 200 sweeps per candidate rank, stops sweeping
     once the Frobenius residual improves by less than 1e-3 * epsilon *
     ||U||_F in a sweep, and adds a ridge of 1e-14 times the trace of the
-    Gram matrix to each normal-equations solve.  In the Frobenius norm
-    without a ``max_rank`` cap it also gives up on a candidate rank once the
-    fit, at twice its last sweep's gain, would not meet the tolerance within
-    the 200 sweeps; the factor 2 is an estimate, not a bound (see
-    :func:`_als_fit`).
+    Gram matrix to each normal-equations solve.  A sweep forms each
+    update's Gram and cross products as a running prefix over the
+    dimensions already updated times a suffix over the rest, so it costs
+    O(d) elementwise products, and it reads its residual off the last
+    prefix.  It solves through the Cholesky factor of the ridged Gram, or by
+    LU where that factorization fails; a less accurate solve can only slow
+    a fit, never pass one, because every fit is judged on the expanded
+    <U-V, U-V> of the factors it returns (see :class:`_AlsState`).  In the
+    Frobenius norm without a ``max_rank`` cap it also gives up on a
+    candidate rank once the fit, at twice its last sweep's gain, would not
+    meet the tolerance within the 200 sweeps; the factor 2 is an estimate,
+    not a bound (see :func:`_als_fit`).
     """
 
     epsilon: float
@@ -324,8 +331,10 @@ def als_sweep(U, V, dim_index):
     is the elementwise product over the other dimensions of V's factor Gram
     matrices, the ridge is 1e-14 * trace(Z), and W holds the cross inner
     products with U's terms, then folds column norms back into the
-    s-values.  This is the step :func:`reduce` takes with ALS, on a fresh
-    state.
+    s-values.  The solve goes through the Cholesky factor of Z + ridge I,
+    or an LU solve where that factorization fails.  This is the update
+    :func:`reduce` makes with ALS, on a fresh state, with Z and its cross
+    counterpart formed here as direct products.
 
     Returns the updated CTD; U and V are unchanged.
     """
@@ -337,12 +346,31 @@ def als_sweep(U, V, dim_index):
     if V.rank == 0:
         return V
     state = _AlsState(U, V.svalues, V.factors)
-    state.sweep_dim(j)
+    state.update(j, *state.products(skip=j))
     return state.to_ctd()
 
 
 class _AlsState:
-    """Working state for the full ALS fit with cached Gram matrices."""
+    """Working state for the full ALS fit with cached Gram matrices.
+
+    ``cross[j]`` is U's factor j against V's, and ``gram[j]`` V's factor
+    Gram, formed as ``F.T @ F`` (a SYRK).  A :meth:`sweep` updates
+    dimensions 0..d-1 in turn.  Each update's Z (rv x rv), the elementwise
+    product of the other dimensions' Grams, and P (r x rv), that of their
+    cross blocks, are a running prefix over the dimensions already updated
+    times a suffix over the rest, formed once per sweep from right to left:
+    about 3d products per array per sweep, not (d-1)^2.  The prefix over
+    all d dimensions is the product :meth:`residual` forms, in the same
+    left-to-right order, so the sweep reads its residual off it.
+
+    :meth:`update` solves the ridged normal equations through the Cholesky
+    factor L of Z + ridge I, as B = (W^T L^-T) L^-1: the inverse of the
+    rv x rv triangle and two small products, in place of an LU solve with
+    M_j right-hand sides.  Where the Cholesky fails, it runs that LU solve
+    on the same matrix.  Z + ridge I itself is never inverted.  A less
+    accurate solve can only slow a fit, never pass one: every residual a fit
+    is judged on is the expanded <U-V, U-V> of the factors it returns.
+    """
 
     def __init__(self, U, svalues, factors):
         self.U = U
@@ -355,57 +383,93 @@ class _AlsState:
     def rank(self):
         return self.sv.shape[0]
 
-    def drop(self, keep):
-        self.sv = self.sv[keep]
-        self.factors = [F[:, keep] for F in self.factors]
-        self.cross = [C[:, keep] for C in self.cross]
-        self.gram = [G[np.ix_(keep, keep)] for G in self.gram]
+    def products(self, skip=None):
+        """(Z, P): the elementwise products of the Gram and cross blocks of
+        every dimension but ``skip``, taken left to right."""
+        Z = np.ones((self.rank, self.rank))
+        P = np.ones((self.U.rank, self.rank))
+        for k, (G, C) in enumerate(zip(self.gram, self.cross)):
+            if k != skip:
+                Z *= G
+                P *= C
+        return Z, P
 
-    def inner_uv(self):
-        G = np.ones((self.U.rank, self.rank))
-        for C in self.cross:
-            G *= C
-        return float(self.U.svalues @ G @ self.sv)
+    def residual(self, uu, Z=None, P=None):
+        """The Frobenius residual ||U - V|| from <U, U> = ``uu`` and the
+        products ``Z`` and ``P`` over all dimensions, formed here if not
+        given."""
+        if Z is None:
+            Z, P = self.products()
+        uv = float(self.U.svalues @ P @ self.sv)
+        vv = float(self.sv @ Z @ self.sv)
+        return float(np.sqrt(max(uu - 2.0 * uv + vv, 0.0)))
 
-    def inner_vv(self):
-        G = np.ones((self.rank, self.rank))
-        for Z in self.gram:
-            G *= Z
-        return float(self.sv @ G @ self.sv)
-
-    def residual(self, uu):
-        return float(np.sqrt(max(uu - 2.0 * self.inner_uv() + self.inner_vv(), 0.0)))
-
-    def sweep_dim(self, j):
-        rv = self.rank
-        Z = np.ones((rv, rv))
-        P = np.ones((self.U.rank, rv))
-        for k in range(len(self.factors)):
-            if k == j:
-                continue
-            Z *= self.gram[k]
-            P *= self.cross[k]
-        lam = 1e-14 * float(np.trace(Z))
-        W = (self.U.factors[j] @ (self.U.svalues[:, None] * P)).T
+    def update(self, j, Z, P):
+        """Refit dimension j from the other dimensions' products ``Z`` and
+        ``P``.  Returns the mask of the terms kept, or None where every
+        column of the solution is nonzero; with a mask, the zero columns'
+        terms have been dropped."""
+        lam = 1e-14 * float(Z.trace())
+        A = Z.copy()
+        A.flat[::self.rank + 1] += lam  # Z + lam I
+        Wt = self.U.factors[j] @ (self.U.svalues[:, None] * P)  # (M_j, rv)
         try:
-            B = np.linalg.solve(Z + lam * np.eye(rv), W).T  # (M_j, rv)
-        except np.linalg.LinAlgError as err:
-            raise np.linalg.LinAlgError(
-                f"normal equations singular in dimension {j} (ridge {lam:.3e})"
-            ) from err
-        norms = np.linalg.norm(B, axis=0)
-        alive = norms > 1e-300
-        if not np.all(alive):
-            self.drop(alive)
-            B = B[:, alive]
-            norms = norms[alive]
+            Linv = np.linalg.inv(np.linalg.cholesky(A))
+        except np.linalg.LinAlgError:
+            try:
+                B = np.linalg.solve(A, Wt.T).T
+            except np.linalg.LinAlgError as err:
+                raise np.linalg.LinAlgError(
+                    f"normal equations singular in dimension {j} (ridge {lam:.3e})"
+                ) from err
+        else:
+            B = (Wt @ Linv.T) @ Linv  # (M_j, rv)
+        # np.linalg.norm(B, axis=0), without its wrapper
+        norms = np.sqrt(np.add.reduce(B * B, axis=0))
+        keep = norms > 1e-300
+        if keep.all():
+            keep = None
+        else:
+            self.sv = self.sv[keep]
+            self.factors = [F[:, keep] for F in self.factors]
+            self.cross = [C[:, keep] for C in self.cross]
+            self.gram = [G[np.ix_(keep, keep)] for G in self.gram]
+            B = B[:, keep]
+            norms = norms[keep]
             if self.rank == 0:
-                return
+                return keep
         Fj = B / norms
         self.sv = norms  # other dims have unit columns, so the weight is the norm
         self.factors[j] = Fj
         self.cross[j] = self.U.factors[j].T @ Fj
         self.gram[j] = Fj.T @ Fj
+        return keep
+
+    def sweep(self, uu):
+        """Update dimensions 0..d-1 in order; returns the Frobenius residual
+        of the result (see :meth:`residual`), or sqrt(uu) if every term has
+        been dropped."""
+        d = len(self.factors)
+        # sz[j], sp[j]: products over dimensions j+1..d-1.  The empty ones
+        # are ones, and a product with 1.0 is exact.
+        sz = [np.ones((self.rank, self.rank))] * d
+        sp = [np.ones((self.U.rank, self.rank))] * d
+        for k in range(d - 2, -1, -1):
+            sz[k] = self.gram[k + 1] * sz[k + 1]
+            sp[k] = self.cross[k + 1] * sp[k + 1]
+        z = np.ones((self.rank, self.rank))  # prefixes over dimensions 0..j-1
+        p = np.ones((self.U.rank, self.rank))
+        for j in range(d):
+            keep = self.update(j, z * sz[j], p * sp[j])
+            if keep is not None:
+                if self.rank == 0:
+                    return float(np.sqrt(uu))
+                z, p = z[np.ix_(keep, keep)], p[:, keep]
+                sz = [S[np.ix_(keep, keep)] for S in sz]
+                sp = [S[:, keep] for S in sp]
+            z = z * self.gram[j]
+            p = p * self.cross[j]
+        return self.residual(uu, z, p)
 
     def to_ctd(self):
         if self.rank == 0:
@@ -491,11 +555,9 @@ def _als_fit(U, terms, cfg, uu, goal):
     out_of_reach_stop = cfg.norm == "frobenius" and cfg.max_rank is None
     res_prev = state.residual(uu)
     for sweeps in range(1, _ALS_MAX_SWEEPS + 1):
-        for j in range(U.ndim):
-            state.sweep_dim(j)
-            if state.rank == 0:
-                return state, float(np.sqrt(uu)), sweeps
-        res = state.residual(uu)
+        res = state.sweep(uu)
+        if state.rank == 0:
+            return state, res, sweeps
         gain = res_prev - res
         if res <= goal or gain < stall or (
                 out_of_reach_stop and res - goal > 2.0 * gain * (_ALS_MAX_SWEEPS - sweeps)):

@@ -966,20 +966,19 @@ class TestFrobeniusContract:
 
 def reference_als_fit(U, terms, cfg, uu, goal):
     """The ALS fit as it was before it gave up on a fit out of reach: in
-    every norm it ran to the goal, a stall or the 200-sweep budget.  Where
-    every fit keeps its verdict, :func:`reduce` must return bitwise the same
-    result with :func:`_als_fit`."""
+    every norm it ran to the goal, a stall or the 200-sweep budget.  It
+    sweeps with the same :meth:`_AlsState.sweep`, so only the stop rule
+    differs, and where every fit keeps its verdict, :func:`reduce` must
+    return bitwise the same result with :func:`_als_fit`."""
     state = reduction_mod._AlsState(U, U.svalues[terms], [F[:, terms] for F in U.factors])
     stall = 1e-3 * cfg.epsilon * max(np.sqrt(uu), 1e-300)
     res_prev = state.residual(uu)
     sweeps = 0
     for _ in range(reduction_mod._ALS_MAX_SWEEPS):
         sweeps += 1
-        for j in range(U.ndim):
-            state.sweep_dim(j)
-            if state.rank == 0:
-                return state, float(np.sqrt(uu)), sweeps
-        res = state.residual(uu)
+        res = state.sweep(uu)
+        if state.rank == 0:
+            return state, res, sweeps
         if res <= goal or res_prev - res < stall:
             return state, res, sweeps
         res_prev = res
@@ -1066,6 +1065,116 @@ class TestAlsOutOfReach:
             U, ReductionConfig(epsilon=epsilon, algorithm="als", **kwargs))
         assert_same_reduction(got, want)
         assert got.sweeps == want.sweeps
+
+
+def als_start(U, count):
+    """An :class:`_AlsState` on U started from U's first ``count`` terms."""
+    terms = np.arange(count)
+    return reduction_mod._AlsState(U, U.svalues[terms], [F[:, terms] for F in U.factors])
+
+
+def direct_products(state, j):
+    """(Z, P) of the update of dimension j: the products of the other
+    dimensions' Gram and cross blocks, each formed on its own."""
+    others = [k for k in range(len(state.factors)) if k != j]
+    Z = np.prod([state.gram[k] for k in others], axis=0)
+    P = np.prod([state.cross[k] for k in others], axis=0)
+    return Z, P
+
+
+def lu_update(state, j):
+    """(s-values, factor j) of the update of dimension j by an LU solve of the
+    ridged normal equations with direct products, as ALS solved them before
+    the Cholesky."""
+    Z, P = direct_products(state, j)
+    rv = state.rank
+    W = (state.U.factors[j] @ (state.U.svalues[:, None] * P)).T
+    B = np.linalg.solve(Z + 1e-14 * float(np.trace(Z)) * np.eye(rv), W).T
+    norms = np.linalg.norm(B, axis=0)
+    return norms, B / norms
+
+
+class TestAlsStateSweep:
+    """One :meth:`_AlsState.sweep` updates every dimension from prefix and
+    suffix products and reads its residual off the last prefix."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(*_dependent_args, st.sampled_from([0.0, 1e-6, 1e-2]))
+    def test_sweep_matches_direct_updates(self, seed, rank, modes, copies, noise):
+        # Start from at most min(modes) independent terms, so that the
+        # normal equations are well conditioned and roundoff in Z and P
+        # moves the solution by little more than it.
+        U = _dependent_ctd(seed, rank, modes, copies, noise)
+        count = min(rank, min(modes))
+        swept, direct = als_start(U, count), als_start(U, count)
+        swept.sweep(reduction_mod._self_inner(U))
+        for j in range(U.ndim):
+            assert direct.update(j, *direct_products(direct, j)) is None
+        assert swept.rank == direct.rank == count
+        assert_allclose(swept.sv, direct.sv, rtol=1e-12)
+        for a, b in zip(swept.factors, direct.factors):
+            assert_allclose(a, b, rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(*_dependent_args, st.sampled_from([0.0, 1e-6, 1e-2]))
+    def test_sweep_residual_is_the_recomputed_residual(self, seed, rank, modes,
+                                                       copies, noise):
+        U = _dependent_ctd(seed, rank, modes, copies, noise)
+        uu = reduction_mod._self_inner(U)
+        state = als_start(U, max(rank - 1, 1))
+        for _ in range(3):
+            res = state.sweep(uu)
+            assert res == state.residual(uu)
+
+    def test_exact_zero_update_drops_its_term(self, rng):
+        # U's last factors live on the first 3 of 6 coordinates, and the
+        # middle start term's last factor is e_5: its cross and Gram entries
+        # in that dimension are exactly 0, so is its column of the first
+        # update, and the term is dropped there.
+        W = random_signed_ctd((4, 5, 6), 3, rng)
+        last = np.array(W.factors[2])
+        last[3:] = 0.0
+        U = reduction_mod._normalized(W.svalues, [*W.factors[:2], last])
+        factors = [np.array(F[:, :3]) for F in U.factors]
+        factors[2][:, 1] = np.eye(6)[5]
+        state = reduction_mod._AlsState(U, np.ones(3), factors)
+        uu = reduction_mod._self_inner(U)
+        res = state.sweep(uu)
+        assert state.rank == 2
+        fresh = reduction_mod._AlsState(U, state.sv, state.factors)
+        for a, b in zip(state.cross + state.gram, fresh.cross + fresh.gram):
+            assert_allclose(a, b, rtol=1e-14, atol=1e-15)
+        assert res == state.residual(uu)
+        assert res == pytest.approx(norm_of_difference(U, state.to_ctd()),
+                                    rel=1e-8)
+        # The surviving terms fit as if the dropped one had never been there.
+        survivors = reduction_mod._AlsState(
+            U, np.ones(2), [F[:, [0, 2]] for F in factors])
+        survivors.sweep(uu)
+        assert_allclose(state.sv, survivors.sv, rtol=1e-12)
+        for a, b in zip(state.factors, survivors.factors):
+            assert_allclose(a, b, rtol=0.0, atol=1e-12)
+
+    def test_cholesky_solve_is_the_lu_solve(self, rng, monkeypatch):
+        # Up to rounding where the Cholesky succeeds, and bitwise where it
+        # raises and the LU solve runs in its place.
+        U = random_signed_ctd((4, 5, 6), 4, rng)
+        V = reduction_mod._normalized(U.svalues[:3], [F[:, :3] for F in U.factors])
+        want_sv, want_factor = lu_update(reduction_mod._AlsState(U, V.svalues, V.factors), 1)
+        for patched in (False, True):
+            if patched:
+                def refuse(a):
+                    raise np.linalg.LinAlgError("not positive definite")
+
+                monkeypatch.setattr(np.linalg, "cholesky", refuse)
+            state = reduction_mod._AlsState(U, V.svalues, V.factors)
+            state.update(1, *state.products(skip=1))
+            assert_allclose(state.sv, want_sv, rtol=0.0 if patched else 1e-12)
+            assert_allclose(state.factors[1], want_factor, rtol=0.0,
+                            atol=0.0 if patched else 1e-12)
+        got = als_sweep(U, V, 1)
+        assert_allclose(got.factors[1] * got.svalues, want_factor * want_sv,
+                        rtol=1e-15, atol=0.0)
 
 
 def noisy_repeats(copies, rel_noise, epsilon):
