@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ctd import CTD, _normalized, add, inner, renormalize, scale, zero_ctd
+from .ctd import _BLOCK, CTD, _gram_cols, _normalized, add, inner, scale, zero_ctd
 
 __all__ = [
     "ReductionConfig",
@@ -52,8 +52,6 @@ _EPS = np.finfo(float).eps
 # most three at once, take at most 2 MiB each; above it every skeleton is
 # measured.
 _SNORM_GRAM_MAX_RANK = 512
-# Columns per block of the term Gram sums and the half Grams.
-_BLOCK = 64
 # Samples per block of the range finder that compresses a measured factor.
 _SAMPLES = 8
 
@@ -487,7 +485,8 @@ def _unfolding_spectra(U):
     eigenproblem and no entry of U is formed.  The products are summed one
     column block of H_j at a time, from the block's d factor-Gram columns,
     formed once for every j, so no r x r array is held.  Each factor-Gram
-    block is a GEMM on a copy of the columns, as in :func:`_half_gram_cols`.
+    block is a GEMM on a copy of the columns, as in
+    :func:`~ctdopt.ctd._gram_cols`.
     Eigenvalues that roundoff pushes below zero are clipped to zero.
     """
     r, s = U.rank, U.svalues
@@ -572,9 +571,9 @@ def _result(U, cfg, algorithm, norm_target, accepted, best=None, sweeps=0,
 
     It holds the search's ``accepted`` (error, V); else, under a ``max_rank``
     cap below rank(U), the least-error candidate ``best`` (error, V), or zero
-    if there is none, flagged as not met; else U itself, renormalized.  The
-    errors are absolute, in the configured norm, and are reported relative
-    to ``norm_target``.
+    if there is none, flagged as not met; else the input U itself, which is
+    already canonical, so no copy of it is made.  The errors are absolute,
+    in the configured norm, and are reported relative to ``norm_target``.
     """
     met = True
     if accepted is not None:
@@ -583,7 +582,7 @@ def _result(U, cfg, algorithm, norm_target, accepted, best=None, sweeps=0,
         err, V = best if best is not None else (norm_target, zero_ctd(U.modes))
         met = False
     else:
-        err, V = 0.0, renormalize(U)
+        err, V = 0.0, U
     return ReductionResult(V, err / max(norm_target, 1e-300), sweeps, met,
                            algorithm, cfg.norm, fallback_to_als=fallback)
 
@@ -601,7 +600,7 @@ def _als_reduce(U, cfg, uu, goal, pivots, skeleton, k):
     terms, largest s-value first; a near-duplicate of a pivot has an updated
     diagonal of about 0, so it comes late.  A fit below k reads only pivots,
     so a search stopped at k gives the same fits as one run to exhaustion.
-    ``uu`` is <U, U> (:func:`_self_inner`), and ``goal`` the absolute
+    ``uu`` is <U, U> (:func:`~ctdopt.ctd.inner`), and ``goal`` the absolute
     tolerance.
 
     In the Frobenius norm and without a ``max_rank`` cap, a candidate rank
@@ -819,54 +818,25 @@ def _skeleton_residual(U, S, c):
     return CTD(w, U.factors, validate=False)
 
 
-def _half_gram_cols(factors, r, c, e):
-    """Columns c:e of the unweighted Gram of r terms over ``factors``: the
-    elementwise product of F^T F[:, c:e] over them, all ones for none.
-
-    Each product is a GEMM on a copy of the columns: on one buffer NumPy
-    calls SYRK, which OpenBLAS threads even at small sizes, at milliseconds
-    per call on two cores.
+def _split_gram(U):
+    """(L, uu) for the balanced split of U's dimensions at h = floor(d / 2):
+    L from A, the unweighted term Gram over dimensions 0..h-1, and uu =
+    <U, U>, both from one pass over column blocks
+    (:func:`~ctdopt.ctd._gram_cols`).
+    The term Gram is A o B, for B the Gram over the rest, so uu = s^T (A o B)
+    s, summed a block at a time; B is never held.  A is numerically singular
+    wherever the first half holds fewer than r independent directions, so L
+    is the Cholesky factor of A + delta I, with delta = n eps max_l A_ll for
+    n = sum_j M_j + r; L is None if even that is not numerically positive
+    definite.
     """
-    G = np.ones((r, e - c))
-    for F in factors:
-        G *= F.T @ F[:, c:e].copy()
-    return G
-
-
-def _self_inner(U, A=None):
-    """<U, U>, summed one column block of the term Gram at a time, so that
-    no r x r array is held.
-
-    The balanced split of U's dimensions at h = floor(d / 2) gives A, the
-    unweighted term Gram over dimensions 0..h-1, and B over the rest, each
-    formed a column block at a time (:func:`_half_gram_cols`).  The term
-    Gram is A o B, so <U, U> = s^T (A o B) s.  Given an r x r array ``A``,
-    the column blocks of A are stored in it.
-    """
-    r, h = U.rank, U.ndim // 2
+    r, h, s = U.rank, U.ndim // 2, U.svalues
+    A = np.empty((r, r))
     uu = 0.0
     for c in range(0, r, _BLOCK):
         e = min(c + _BLOCK, r)
-        left = _half_gram_cols(U.factors[:h], r, c, e)
-        if A is not None:
-            A[:, c:e] = left
-        uu += float(U.svalues @ (left * _half_gram_cols(U.factors[h:], r, c, e))
-                    @ U.svalues[c:e])
-    return uu
-
-
-def _split_gram(U):
-    """(L, uu) for the balanced split of U's dimensions: uu = <U, U> and L
-    from the first half's term Gram A, both from :func:`_self_inner`, which
-    never holds the second half's B.  A is numerically singular wherever the
-    first half holds fewer than r independent directions, so L is the
-    Cholesky factor of A + delta I, with delta = n eps max_l A_ll for n =
-    sum_j M_j + r; L is None if even that is not numerically positive
-    definite.
-    """
-    r = U.rank
-    A = np.empty((r, r))
-    uu = _self_inner(U, A)
+        A[:, c:e] = _gram_cols(U, U, c, e, slice(h))
+        uu += float(s @ (A[:, c:e] * _gram_cols(U, U, c, e, slice(h, None))) @ s[c:e])
     A.flat[::r + 1] += (sum(U.modes) + r) * _EPS * float(A.diagonal().max())
     try:
         return np.linalg.cholesky(A), uu
@@ -897,18 +867,17 @@ def _flattening_bound(U, L, w, goal):
     returns None.
 
     W B W is written into one r x r array, a column block of B at a time
-    (:func:`_half_gram_cols`), and multiplied by L on both sides.
+    (:func:`~ctdopt.ctd._gram_cols`), and multiplied by L on both sides.
     """
     r = U.rank
     aw = np.abs(w)
     g2 = goal * goal - (sum(U.modes) + r) * _EPS * float(aw.max()) * float(aw.sum())
     if g2 <= 0.0:
         return None
-    right = U.factors[U.ndim // 2:]
     X = np.empty((r, r))
     for c in range(0, r, _BLOCK):
         e = min(c + _BLOCK, r)
-        X[:, c:e] = _half_gram_cols(right, r, c, e)
+        X[:, c:e] = _gram_cols(U, U, c, e, slice(U.ndim // 2, None))
     X *= w
     X *= w[:, None]
     X = X @ L  # rebinding X frees each product once the next is formed
@@ -1072,16 +1041,17 @@ def reduce(U, cfg):
 
     Contract: the result V satisfies ||U - V|| <= epsilon * ||U|| in the
     configured norm, with rank(V) <= rank(U); when no strictly smaller rank
-    achieves the bound (and no cap intervenes), U itself is returned
-    renormalized.  See :class:`ReductionResult` for the attached metadata.
+    achieves the bound (and no cap intervenes), the input U itself is
+    returned.  See :class:`ReductionResult` for the attached metadata.
 
     Both algorithms share this front end: it forms the norm target ||U||
-    (from <U, U>, summed a column block at a time by :func:`_self_inner`,
-    in the Frobenius norm), exits on a zero input (rank 0 included), sets
-    the goal epsilon * ||U|| and runs the skeleton search
-    (:func:`_skeleton_search`) once, with <U, U> in the Frobenius norm and
-    for ALS.  No r x r term Gram is formed.  The interpolative path returns
-    the search's skeleton; ALS fits only below it (:func:`_als_reduce`).
+    (from <U, U>, summed a column block at a time by
+    :func:`~ctdopt.ctd.inner`, in the Frobenius norm), exits on a zero input
+    (rank 0 included), sets the goal epsilon * ||U|| and runs the skeleton
+    search (:func:`_skeleton_search`) once, with <U, U> in the Frobenius norm
+    and for ALS.  No r x r term Gram is formed.  The interpolative path
+    returns the search's skeleton; ALS fits only below it
+    (:func:`_als_reduce`).
     An interpolative search that meets an indefinite Gram falls back to
     ALS, flagged, with no skeleton: the fits start from the pivots found
     before the break, and the s-norm first sums <U, U> for them.  The
@@ -1097,7 +1067,7 @@ def reduce(U, cfg):
             "certifiable in double precision; consider norm='snorm'",
             stacklevel=2,
         )
-    uu = _self_inner(U) if frobenius or als else None
+    uu = inner(U, U) if frobenius or als else None
     norm_target = _root(uu) if frobenius else s_norm(U)
     if norm_target <= 1e-300:  # a zero input, rank 0 included
         return _result(U, cfg, cfg.algorithm, 0.0, (0.0, zero_ctd(U.modes)))
@@ -1107,7 +1077,7 @@ def reduce(U, cfg):
         return _result(U, cfg, "id", norm_target, _built(U, C, pivots, accepted),
                        _built(U, C, pivots, best))
     if uu is None:  # the s-norm ID, fallen back to ALS
-        uu = _self_inner(U)
+        uu = inner(U, U)
     skeleton = _built(U, C, pivots, accepted)
     del C  # the Gram columns of every pivot, needed only for the skeleton
     k = None if accepted is None else accepted[1]

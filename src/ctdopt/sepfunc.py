@@ -137,9 +137,7 @@ class GaussianExpansion:
 
     @property
     def weights(self):
-        s = self.nodes
-        front = self.h * self.b / (2.0 * np.sqrt(np.pi * self.d))
-        return front * np.exp(-(self.b**2 / (4.0 * self.d)) * np.exp(-s) - s / 2.0)
+        return self.h * _weight_density(self.nodes, self.b, self.d)
 
     def value(self, x):
         """Evaluate the expansion at x (scalar or array)."""

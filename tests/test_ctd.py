@@ -230,6 +230,24 @@ class TestAlgebra:
         expect = float(np.sum(dense_oracle(U) * dense_oracle(V)))
         assert_allclose(inner(U, V), expect, rtol=1e-12)
 
+    @pytest.mark.parametrize("rv", [1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("ru", [1, 70])
+    def test_inner_across_column_blocks(self, rng, ru, rv):
+        # inner sums V's terms 64 at a time.  Signed weights, as a skeleton
+        # residual carries, are weighted as they stand.
+        def signed(r):
+            W = random_signed_ctd((3, 4, 5), r, rng)
+            return CTD(W.svalues * rng.choice([-1.0, 1.0], r), W.factors, validate=False)
+
+        U, V = signed(ru), signed(rv)
+        expect = float(np.sum(to_dense(U) * to_dense(V)))
+        assert inner(U, V) == pytest.approx(expect, rel=1e-12)
+        assert inner(V, V) == pytest.approx(float(np.sum(to_dense(V) ** 2)), rel=1e-12)
+
+    def test_inner_of_rank_zero(self, rng):
+        U, Z = random_signed_ctd((3, 4), 2, rng), zero_ctd((3, 4))
+        assert inner(U, Z) == inner(Z, U) == inner(Z, Z) == 0.0
+
     def test_cauchy_schwarz(self, rng):
         for _ in range(10):
             U = random_signed_ctd((4, 4), 3, rng)

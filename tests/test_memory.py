@@ -1,8 +1,9 @@
 """Memory checks on the squaring path: a step holds one unreduced square,
-a Frobenius reduction holds no r x r array, and the s-norm flattening test
-at most three.  An s-norm measurement fits on the input's own factors, or,
-where a factor's numerical column space takes at most half its rows, on a
-copy of it in that space's coordinates.
+an inner product and a Frobenius reduction hold no r x r array, the
+s-norm flattening test at most three, and a reduction that finds no
+smaller rank no copy of its input.  An s-norm measurement fits on the
+input's own factors, or, where a factor's numerical column space takes at
+most half its rows, on a copy of it in that space's coordinates.
 
 Each bound is assembled from the sizes of the arrays involved, and the peak
 is read with ``tracemalloc``, which sees NumPy's data allocations.  Inputs
@@ -15,7 +16,7 @@ import tracemalloc
 import numpy as np
 
 from ctdopt import ReductionConfig, frobenius_norm, random_ctd, reduce, scale, square
-from ctdopt import maxentry, reduction
+from ctdopt import ctd, maxentry, reduction
 from ctdopt.experiments import background_instance, plant_spike
 from ctdopt.maxentry import FixedIterations, MaxEntrySearchConfig, squaring_max
 from conftest import gaussian_sum, random_signed_ctd
@@ -153,6 +154,25 @@ def test_snorm_flattening_test_holds_three_term_arrays(monkeypatch):
     assert settled and settled[-1]
     assert res.tolerance_met and res.rank < Q.rank
     assert peak < 3.5 * 8 * Q.rank ** 2
+
+
+def test_frobenius_norm_holds_a_few_column_blocks(rng):
+    # inner sums the term Gram one block of 64 columns at a time: the block,
+    # the product it is multiplied by and the copied columns behind that,
+    # where the whole Gram would take 72 MB.
+    U = random_signed_ctd((40, 40, 40, 40), 3000, rng)
+    _, peak = traced_peak(frobenius_norm, U)
+    assert peak <= 3 * 8 * U.rank * ctd._BLOCK
+
+
+def test_incompressible_reduce_returns_its_input():
+    # The rank-210 square of a generic rank-20 CTD is 1e-6 from no smaller
+    # rank in the s-norm, so the reduction returns the square itself and
+    # makes no copy of its factors.
+    Q = square(random_signed_ctd((400, 300, 200), 20, np.random.default_rng(0)))
+    res, peak = traced_peak(reduce, Q, ReductionConfig(epsilon=1e-6, norm="snorm"))
+    assert res.ctd is Q and res.tolerance_met
+    assert peak < factor_bytes(Q)
 
 
 def test_squaring_search_holds_one_unreduced_square(monkeypatch):

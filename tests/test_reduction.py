@@ -135,7 +135,7 @@ class TestReduceContract:
     def test_exits_without_a_smaller_rank(self, rng, case, algorithm, norm):
         # A rank-0 input leaves by the zero-norm exit.  A generic rank-3
         # matrix is 1e-6 from no rank-2 one, so its search accepts nothing
-        # and the input comes back renormalized.
+        # and the input itself comes back, not a copy.
         if case == "rank zero":
             U, rank = zero_ctd((3, 4, 5)), 0
         else:
@@ -148,6 +148,7 @@ class TestReduceContract:
         assert res.norm == norm
         assert res.fallback_to_als is False
         if rank:
+            assert res.ctd is U
             assert dense_rel_error(U, res.ctd) <= 1e-13
 
     def test_indefinite_fallback_reports_als(self, rng, monkeypatch):
@@ -267,11 +268,11 @@ class TestInterpolative:
         bad = np.array(reduction_mod._gram_diag(U))
         bad[0] = -1.0  # force an indefinite diagonal
         monkeypatch.setattr(reduction_mod, "_gram_diag", lambda _: bad)
-        calls = count_calls(monkeypatch, "_self_inner", "_pivoted_cholesky_lazy")
+        calls = count_calls(monkeypatch, "inner", "_pivoted_cholesky_lazy")
         res = reduce(U, ReductionConfig(epsilon=1e-6))
         assert res.fallback_to_als
         assert res.tolerance_met
-        assert calls == {"_self_inner": 1, "_pivoted_cholesky_lazy": 1}
+        assert calls == {"inner": 1, "_pivoted_cholesky_lazy": 1}
         # The s-norm search sums no <U, U>, so its fallback sums it for ALS
         # and searches no second time.
         calls.update(dict.fromkeys(calls, 0))
@@ -279,7 +280,7 @@ class TestInterpolative:
         assert res.algorithm == "als"
         assert res.fallback_to_als
         assert res.tolerance_met
-        assert calls == {"_self_inner": 1, "_pivoted_cholesky_lazy": 1}
+        assert calls == {"inner": 1, "_pivoted_cholesky_lazy": 1}
 
     def test_psd_gram_not_flagged_indefinite(self):
         # The first square of this spike-search instance has rank 10 and a
@@ -727,7 +728,7 @@ class TestRankFloor:
         for j, lam in enumerate(reduction_mod._unfolding_spectra(U)):
             want = np.linalg.svd(dense_unfolding(U, j), compute_uv=False) ** 2
             assert_allclose(lam, want, rtol=0, atol=1e-12 * want[0])
-        assert_allclose(reduction_mod._self_inner(U), np.sum(dense ** 2), rtol=1e-12)
+        assert_allclose(inner(U, U), np.sum(dense ** 2), rtol=1e-12)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -868,7 +869,7 @@ _dependent_args = (
 def frobenius_id_pivots(U, epsilon):
     """The pivots and Gram columns of the Frobenius ID search on U at
     ``epsilon``, as :func:`reduce` factors them."""
-    uu = reduction_mod._self_inner(U)
+    uu = inner(U, U)
     goal = epsilon * np.sqrt(uu)
     pivots, _, C, indefinite = reduction_mod._pivoted_cholesky_lazy(
         U, lambda pivots, L, C, res: np.sqrt(max(res, 0.0)) <= goal, uu=uu,
@@ -1107,7 +1108,7 @@ class TestAlsStateSweep:
         U = _dependent_ctd(seed, rank, modes, copies, noise)
         count = min(rank, min(modes))
         swept, direct = als_start(U, count), als_start(U, count)
-        swept.sweep(reduction_mod._self_inner(U))
+        swept.sweep(inner(U, U))
         for j in range(U.ndim):
             assert direct.update(j, *direct_products(direct, j)) is None
         assert swept.rank == direct.rank == count
@@ -1120,7 +1121,7 @@ class TestAlsStateSweep:
     def test_sweep_residual_is_the_recomputed_residual(self, seed, rank, modes,
                                                        copies, noise):
         U = _dependent_ctd(seed, rank, modes, copies, noise)
-        uu = reduction_mod._self_inner(U)
+        uu = inner(U, U)
         state = als_start(U, max(rank - 1, 1))
         for _ in range(3):
             res = state.sweep(uu)
@@ -1138,7 +1139,7 @@ class TestAlsStateSweep:
         factors = [np.array(F[:, :3]) for F in U.factors]
         factors[2][:, 1] = np.eye(6)[5]
         state = reduction_mod._AlsState(U, np.ones(3), factors)
-        uu = reduction_mod._self_inner(U)
+        uu = inner(U, U)
         res = state.sweep(uu)
         assert state.rank == 2
         fresh = reduction_mod._AlsState(U, state.sv, state.factors)
@@ -1355,6 +1356,25 @@ def cancelling_input(seed):
     N = random_ctd(modes, int(rng.integers(2, 5)), low=0.0, high=1.0, rng=rng)
     U = add(U, scale(N, size / flattening_norm(to_dense(N))))
     return U, float(rng.uniform(1.0, 1.5)) * size / s_norm(U)
+
+
+class TestSplitGram:
+    """:func:`_split_gram` sums <U, U> over the balanced split in the same
+    pass that stores the first half's Gram A; :func:`inner` sums it over
+    every dimension in order.  Both give <U, U>."""
+
+    @pytest.mark.parametrize("modes", [(7,), (4, 5), (3, 4, 5), (3, 4, 5, 3)])
+    @pytest.mark.parametrize("rank", [1, 64, 65, 150])
+    def test_split_sum_is_the_inner_product(self, rng, modes, rank):
+        U = random_signed_ctd(modes, rank, rng)
+        L, uu = reduction_mod._split_gram(U)
+        assert uu == pytest.approx(inner(U, U), rel=1e-13)
+        h = U.ndim // 2
+        A = np.ones((rank, rank))
+        for F in U.factors[:h]:
+            A *= F.T @ F
+        if L is not None:
+            assert_allclose(L @ L.T, A, rtol=0, atol=1e-10)
 
 
 class TestSnormFlatteningBound:

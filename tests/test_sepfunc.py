@@ -115,6 +115,16 @@ class TestGaussianExpansion:
         want = float(np.max(g.target(probes)))
         assert certify_expansion(g, probes) == pytest.approx(want, rel=1e-6)
 
+    def test_weights_are_the_step_times_the_density(self, g_box):
+        # g_box is the expansion run_ackley builds.  Its step is a power of
+        # two, so the step times the density at the nodes is bitwise the
+        # weight formula with the step folded into the front factor.
+        assert g_box.h == 2.0 ** round(math.log2(g_box.h))
+        s, b, d = g_box.nodes, g_box.b, g_box.d
+        front = g_box.h * b / (2.0 * np.sqrt(np.pi * d))
+        want = front * np.exp(-(b**2 / (4.0 * d)) * np.exp(-s) - s / 2.0)
+        assert np.array_equal(g_box.weights, want)
+
     def test_term_budget_error(self):
         with pytest.raises(ExpansionError):
             build_gaussian_expansion(0.2, 10, 1e-8, 3e-6, 1.0, max_terms=5)
