@@ -31,10 +31,10 @@ from .sepfunc import (
     AckleyParams,
     Grid,
     _certification_probes,
+    _certified_expansion,
     ackley_eval,
     ackley_separated,
     build_cosine_grid,
-    build_gaussian_expansion,
     build_radial_grid,
     certify_expansion,
     merge_grids,
@@ -404,7 +404,7 @@ def run_ackley(cfg):
     d = 10
 
     p = AckleyParams(d=d)
-    g = build_gaussian_expansion(
+    g, certified = _certified_expansion(
         p.b, d, _ACKLEY_EXPANSION_EPS, _ACKLEY_EXPANSION_DELTA, math.sqrt(d)
     )
     f = ackley_separated(p, g)
@@ -424,7 +424,6 @@ def run_ackley(cfg):
     true_max = p.a + math.e
     nonzero = merged[merged != 0.0]
     innermost = float(np.min(np.abs(nonzero)))
-    certified = certify_expansion(g, _certification_probes(g.delta, g.x_max))
     if innermost < g.delta:
         strip = certify_expansion(g, _certification_probes(innermost, g.delta, 10_000))
     else:

@@ -37,7 +37,6 @@ __all__ = [
     "ReductionResult",
     "RankOneApprox",
     "reduce",
-    "als_sweep",
     "s_norm",
     "rank_one_approx",
     "norm_of_difference",
@@ -193,12 +192,6 @@ class RankOneApprox:
     sweeps: int = 0
     converged: bool = True
 
-    def as_ctd(self):
-        if self.svalue <= 0.0:
-            raise ValueError("approximation is zero; no CTD form")
-        return CTD(np.array([self.svalue]), [f.reshape(-1, 1) for f in self.factors],
-                   validate=False)
-
 
 def norm_of_difference(U, V, norm="frobenius"):
     """||U - V|| without forming the difference, where possible.
@@ -322,32 +315,6 @@ def s_norm(U):
 # ---------------------------------------------------------------------------
 # ALS
 
-def als_sweep(U, V, dim_index):
-    """One least-squares update of V's factors along one dimension.
-
-    Solves (Z + ridge I) B^T = W for the dimension's raw columns B, where Z
-    is the elementwise product over the other dimensions of V's factor Gram
-    matrices, the ridge is 1e-14 * trace(Z), and W holds the cross inner
-    products with U's terms, then folds column norms back into the
-    s-values.  The solve goes through the Cholesky factor of Z + ridge I,
-    or an LU solve where that factorization fails.  This is the update
-    :func:`reduce` makes with ALS, on a fresh state, with Z and its cross
-    counterpart formed here as direct products.
-
-    Returns the updated CTD; U and V are unchanged.
-    """
-    if U.modes != V.modes:
-        raise ValueError(f"shape mismatch: {U.modes} vs {V.modes}")
-    j = int(dim_index)
-    if not 0 <= j < U.ndim:
-        raise IndexError(f"dimension {j} out of range")
-    if V.rank == 0:
-        return V
-    state = _AlsState(U, V.svalues, V.factors)
-    state.update(j, *state.products(skip=j))
-    return state.to_ctd()
-
-
 class _AlsState:
     """Working state for the full ALS fit with cached Gram matrices.
 
@@ -381,23 +348,16 @@ class _AlsState:
     def rank(self):
         return self.sv.shape[0]
 
-    def products(self, skip=None):
-        """(Z, P): the elementwise products of the Gram and cross blocks of
-        every dimension but ``skip``, taken left to right."""
-        Z = np.ones((self.rank, self.rank))
-        P = np.ones((self.U.rank, self.rank))
-        for k, (G, C) in enumerate(zip(self.gram, self.cross)):
-            if k != skip:
-                Z *= G
-                P *= C
-        return Z, P
-
     def residual(self, uu, Z=None, P=None):
         """The Frobenius residual ||U - V|| from <U, U> = ``uu`` and the
-        products ``Z`` and ``P`` over all dimensions, formed here if not
-        given."""
+        elementwise products ``Z`` and ``P`` of every dimension's Gram and
+        cross blocks, formed here, left to right, if not given."""
         if Z is None:
-            Z, P = self.products()
+            Z = np.ones((self.rank, self.rank))
+            P = np.ones((self.U.rank, self.rank))
+            for G, C in zip(self.gram, self.cross):
+                Z *= G
+                P *= C
         uv = float(self.U.svalues @ P @ self.sv)
         vv = float(self.sv @ Z @ self.sv)
         return float(np.sqrt(max(uu - 2.0 * uv + vv, 0.0)))
@@ -484,16 +444,15 @@ def _unfolding_spectra(U):
     other dimensions' factor Grams F_l^T F_l, so each costs an M_j x M_j
     eigenproblem and no entry of U is formed.  The products are summed one
     column block of H_j at a time, from the block's d factor-Gram columns,
-    formed once for every j, so no r x r array is held.  Each factor-Gram
-    block is a GEMM on a copy of the columns, as in
-    :func:`~ctdopt.ctd._gram_cols`.
+    formed once for every j by :func:`~ctdopt.ctd._gram_cols` over one
+    dimension each, so no r x r array is held.
     Eigenvalues that roundoff pushes below zero are clipped to zero.
     """
     r, s = U.rank, U.svalues
     sums = [np.zeros((M, M)) for M in U.modes]
     for c in range(0, r, _BLOCK):
         e = min(c + _BLOCK, r)
-        cols = [F.T @ F[:, c:e].copy() for F in U.factors]
+        cols = [_gram_cols(U, U, c, e, slice(l, l + 1)) for l in range(U.ndim)]
         for j, F in enumerate(U.factors):
             H = np.outer(s, s[c:e])
             for l, G in enumerate(cols):
@@ -675,6 +634,15 @@ def _gram_diag(U):
 
 def _gram_column(U, p):
     """Column ``p`` of the term Gram matrix, computed on demand."""
+    # A GEMV, not ctd._gram_cols, whose last bits differ.  Without <U, U>
+    # the Cholesky counts a diagonal as exhausted only at <= 0, so an exact
+    # duplicate of a pivot is dropped only where _gram_diag's entry less the
+    # square of its updated column entry rounds to <= 0, and the pivots hang
+    # on those bits: with _gram_cols columns the duplicate-term test keeps
+    # both terms.  For a like reason _AlsState.gram stays a SYRK until the
+    # Frobenius accept has a proved rounding allowance: as a GEMM on a copy
+    # it sends ALS on the stored Ackley sample at 1e-6 to a rank-13 fit
+    # whose true error misses the tolerance, where the SYRK gives rank 14.
     col = np.ones(U.rank)
     for F in U.factors:
         col *= F.T @ F[:, p]

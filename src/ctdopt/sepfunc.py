@@ -183,6 +183,12 @@ def build_gaussian_expansion(b, d, eps, delta, x_max, max_terms=10_000):
     Raises :class:`ExpansionError` when the term budget or a step-size floor
     is exceeded.
     """
+    return _certified_expansion(b, d, eps, delta, x_max, max_terms)[0]
+
+
+def _certified_expansion(b, d, eps, delta, x_max, max_terms=10_000):
+    """(g, err): the expansion g :func:`build_gaussian_expansion` returns and
+    its sup-error err on the 10^5 probes that certified it."""
     if not (b > 0 and d >= 1):
         raise ValueError("need b > 0 and d >= 1")
     if not (0 < eps < 1):
@@ -209,8 +215,9 @@ def build_gaussian_expansion(b, d, eps, delta, x_max, max_terms=10_000):
             h=h, s_start=lo, R=int(round((hi - lo) / h)), b=b, d=d,
             eps=eps, delta=delta, x_max=x_max,
         )
-        if certify_expansion(g, probes) <= eps:
-            return g
+        err = certify_expansion(g, probes)
+        if err <= eps:
+            return g, err
         h /= 2.0
     raise ExpansionError("no certified expansion before step-size floor 2^-16")
 

@@ -11,7 +11,6 @@ from ctdopt import (
     CTD,
     ReductionConfig,
     add,
-    als_sweep,
     frobenius_norm,
     inner,
     norm_of_difference,
@@ -175,27 +174,6 @@ class TestReduceContract:
             ReductionConfig(epsilon=1e-6, algorithm="svd")
 
 
-class TestAlsSweep:
-    def test_residual_non_increasing(self, rng):
-        U = random_signed_ctd((5, 5, 5), 5, rng)
-        order = np.argsort(-U.svalues)[:3]
-        V = reduction_mod._normalized(
-            U.svalues[order], [np.array(F[:, order]) for F in U.factors]
-        )
-        prev = norm_of_difference(U, V)
-        for sweep in range(6):
-            for j in range(U.ndim):
-                V = als_sweep(U, V, j)
-            res = norm_of_difference(U, V)
-            assert res <= prev + 1e-10 * frobenius_norm(U)
-            prev = res
-
-    def test_dimension_out_of_range(self, rng):
-        U = random_signed_ctd((4, 4), 2, rng)
-        with pytest.raises(IndexError):
-            als_sweep(U, U, 5)
-
-
 class TestSNorm:
     def test_rank_one_exact(self, rng):
         U = random_signed_ctd((5, 6, 4), 1, rng)
@@ -220,7 +198,9 @@ class TestSNorm:
         approx = rank_one_approx(U)
         for f in approx.factors:
             assert_allclose(np.linalg.norm(f), 1.0, atol=1e-12)
-        assert approx.as_ctd().rank == 1
+        # the weight is U's inner product with the unit rank-one term
+        term = CTD(np.array([1.0]), [f[:, None] for f in approx.factors])
+        assert_allclose(inner(U, term), approx.svalue, rtol=1e-12)
 
 
 class TestNormOfDifference:
@@ -1127,6 +1107,18 @@ class TestAlsStateSweep:
             res = state.sweep(uu)
             assert res == state.residual(uu)
 
+    def test_residual_non_increasing(self, rng):
+        U = random_signed_ctd((5, 5, 5), 5, rng)
+        order = np.argsort(-U.svalues)[:3]
+        state = reduction_mod._AlsState(U, U.svalues[order], [F[:, order] for F in U.factors])
+        uu = inner(U, U)
+        prev = norm_of_difference(U, state.to_ctd())
+        for _ in range(6):
+            state.sweep(uu)
+            res = norm_of_difference(U, state.to_ctd())
+            assert res <= prev + 1e-10 * frobenius_norm(U)
+            prev = res
+
     def test_exact_zero_update_drops_its_term(self, rng):
         # U's last factors live on the first 3 of 6 coordinates, and the
         # middle start term's last factor is e_5: its cross and Gram entries
@@ -1169,13 +1161,10 @@ class TestAlsStateSweep:
 
                 monkeypatch.setattr(np.linalg, "cholesky", refuse)
             state = reduction_mod._AlsState(U, V.svalues, V.factors)
-            state.update(1, *state.products(skip=1))
+            state.update(1, *direct_products(state, 1))
             assert_allclose(state.sv, want_sv, rtol=0.0 if patched else 1e-12)
             assert_allclose(state.factors[1], want_factor, rtol=0.0,
                             atol=0.0 if patched else 1e-12)
-        got = als_sweep(U, V, 1)
-        assert_allclose(got.factors[1] * got.svalues, want_factor * want_sv,
-                        rtol=1e-15, atol=0.0)
 
 
 def noisy_repeats(copies, rel_noise, epsilon):
@@ -1356,6 +1345,61 @@ def cancelling_input(seed):
     N = random_ctd(modes, int(rng.integers(2, 5)), low=0.0, high=1.0, rng=rng)
     U = add(U, scale(N, size / flattening_norm(to_dense(N))))
     return U, float(rng.uniform(1.0, 1.5)) * size / s_norm(U)
+
+
+def dense_rounding(U, V):
+    """A bound on the Frobenius norm of the rounding in to_dense(U) -
+    to_dense(V): each of the N entries sums r_u + r_v products of d + 1
+    factors, none above the s-value for unit columns."""
+    eps = np.finfo(float).eps
+    terms = float(np.sum(np.abs(U.svalues)) + np.sum(np.abs(V.svalues)))
+    return np.sqrt(np.prod(U.modes)) * (U.rank + V.rank + U.ndim) * eps * terms
+
+
+def check_als_frobenius_bound(U, epsilon, seed):
+    """Reduce U by s-norm ALS; where the result's error is a Frobenius bound,
+    assert that no rank-one weight of the dense residual, from the largest
+    term of U - V or from four random starts, exceeds it.  Returns whether
+    the error was such a bound."""
+    bounds = []
+    bound_of = reduction_mod._frobenius_bound
+
+    def recorded(sq, U, goal):
+        bounds.append(bound_of(sq, U, goal))
+        return bounds[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction_mod, "_frobenius_bound", recorded)
+        res = reduce(U, ReductionConfig(epsilon=epsilon, norm="snorm", algorithm="als"))
+    err = res.rel_error * s_norm(U)
+    if not any(b is not None and math.isclose(err, b, rel_tol=1e-12) for b in bounds):
+        return False  # measured by rank-one ALS, or the input itself
+    assert res.tolerance_met
+    D = add(U, scale(res.ctd, -1.0))
+    top = int(np.argmax(np.abs(D.svalues)))
+    rng = np.random.default_rng(seed)
+    starts = [[F[:, top] for F in D.factors]]
+    starts += [[rng.standard_normal(M) for M in U.modes] for _ in range(4)]
+    weight = dense_snorm(to_dense(U) - to_dense(res.ctd), starts)
+    assert weight <= err + dense_rounding(U, res.ctd)
+    return True
+
+
+class TestSnormAlsContract:
+    """An s-norm ALS result whose error is a Frobenius bound is within that
+    bound on the dense residual, by every rank-one weight found there."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(*_dependent_args, st.sampled_from([1e-2, 1e-4, 1e-6]),
+           st.sampled_from([0.0, 0.03, 0.3, 1.0, 3.0]))
+    def test_dependent_terms(self, seed, rank, modes, copies, epsilon, noise):
+        U = _dependent_ctd(seed, rank, modes, copies, noise * epsilon)
+        check_als_frobenius_bound(U, epsilon, seed)
+
+    def test_cancelling_terms(self):
+        bounded = [check_als_frobenius_bound(*cancelling_input(seed), seed)
+                   for seed in range(12)]
+        assert sum(bounded) >= 6  # the check is not vacuous
 
 
 class TestSplitGram:
