@@ -144,7 +144,12 @@ class ReductionResult:
       is the sum of the unselected terms' residual energies, while the
       residual of the refit is the norm of the sum of those residuals,
       which can be up to sqrt(r - k) times larger for r input terms and a
-      skeleton of k.  So the estimate does not bound the s-norm error.
+      skeleton of k.  So the estimate does not bound the s-norm error.  A
+      skeleton that exhausts the Cholesky's diagonal, by the rule that
+      gives a Frobenius skeleton error 0 (see
+      :func:`_pivoted_cholesky_lazy`), has estimate 0 and is accepted with
+      ``rel_error`` 0: its other terms lie in its span to working
+      precision.
 
     ``sweeps`` counts the ALS sweeps of the candidate ranks that were
     fitted, also when the skeleton is returned; a rank ALS skips unfitted
@@ -319,7 +324,11 @@ class _AlsState:
     """Working state for the full ALS fit with cached Gram matrices.
 
     ``cross[j]`` is U's factor j against V's, and ``gram[j]`` V's factor
-    Gram, formed as ``F.T @ F`` (a SYRK).  A :meth:`sweep` updates
+    Gram, formed as ``F.T @ F`` (a SYRK).  It stays a SYRK, not a GEMM on a
+    copy as in :func:`~ctdopt.ctd._gram_cols`, until the Frobenius accept
+    has a proved rounding allowance: as a GEMM on a copy it sends ALS on the
+    stored Ackley sample at 1e-6 to a rank-13 fit whose true error misses
+    the tolerance, where the SYRK gives rank 14.  A :meth:`sweep` updates
     dimensions 0..d-1 in turn.  Each update's Z (rv x rv), the elementwise
     product of the other dimensions' Grams, and P (r x rv), that of their
     cross blocks, are a running prefix over the dimensions already updated
@@ -633,20 +642,9 @@ def _gram_diag(U):
 
 
 def _gram_column(U, p):
-    """Column ``p`` of the term Gram matrix, computed on demand."""
-    # A GEMV, not ctd._gram_cols, whose last bits differ.  Without <U, U>
-    # the Cholesky counts a diagonal as exhausted only at <= 0, so an exact
-    # duplicate of a pivot is dropped only where _gram_diag's entry less the
-    # square of its updated column entry rounds to <= 0, and the pivots hang
-    # on those bits: with _gram_cols columns the duplicate-term test keeps
-    # both terms.  For a like reason _AlsState.gram stays a SYRK until the
-    # Frobenius accept has a proved rounding allowance: as a GEMM on a copy
-    # it sends ALS on the stored Ackley sample at 1e-6 to a rank-13 fit
-    # whose true error misses the tolerance, where the SYRK gives rank 14.
-    col = np.ones(U.rank)
-    for F in U.factors:
-        col *= F.T @ F[:, p]
-    return col * (U.svalues * U.svalues[p])
+    """Column ``p`` of the term Gram matrix, computed on demand: a
+    one-column block of :func:`~ctdopt.ctd._gram_cols`, weighted."""
+    return _gram_cols(U, U, p, p + 1)[:, 0] * (U.svalues * U.svalues[p])
 
 
 def _pivoted_cholesky_lazy(U, accept=None, uu=None, max_pivots=None):
@@ -673,14 +671,16 @@ def _pivoted_cholesky_lazy(U, accept=None, uu=None, max_pivots=None):
     with ``uu`` = <U, U>, as :func:`_skeleton_search` passes it in the
     Frobenius norm and for ALS, ``uu - ||L^T 1||^2``, the squared Frobenius
     residual of the least-squares refit of U on the pivots; without it, the
-    sum of the updated diagonal over unselected indices.  A diagonal
-    exhausted after k pivots leaves nothing outside their span beyond
-    roundoff, so the last skeleton is then offered once more, with ``res``
-    0.  With ``uu`` the diagonal counts as exhausted also when every
-    unselected entry is at most 8 (k + 1) eps times its initial value: each
-    is that value less k squares whose sum is at most that value, so this
-    is their rounding, and every unselected term lies in the skeleton's span
-    to working precision.
+    sum of the updated diagonal over unselected indices.
+
+    One exhaustion rule serves both modes: after k pivots the diagonal is
+    exhausted once every unselected entry is at most 8 (k + 1) eps times its
+    initial value, an entry at most 0 included.  Each is that value less k
+    squares whose sum is at most that value, so this is their rounding, and
+    every unselected term lies in the skeleton's span to working precision.
+    The last skeleton is then offered once more, with ``res`` 0.  A pivot's
+    entry of the updated diagonal is set to -inf, so the next pivot is the
+    diagonal's argmax.
 
     Without ``accept`` it factors until the diagonal is exhausted or the
     ``max_pivots`` cap is reached.  A capped or accepted run is a bitwise
@@ -690,10 +690,9 @@ def _pivoted_cholesky_lazy(U, accept=None, uu=None, max_pivots=None):
     """
     r = U.rank
     d = _gram_diag(U)
-    if uu is not None:
-        d0 = d.copy()
-        d0_max = float(d0.max(initial=0.0))
-    tol_neg = -1e-10 * max(float(d.max(initial=0.0)), 1e-300)
+    d0 = d.copy()
+    d0_max = float(d0.max(initial=0.0))
+    tol_neg = -1e-10 * max(d0_max, 1e-300)
     cap = 64
     L = np.zeros((r, cap))
     C = np.zeros((r, cap))
@@ -702,15 +701,11 @@ def _pivoted_cholesky_lazy(U, accept=None, uu=None, max_pivots=None):
     proj = 0.0
     n = 0  # pivots taken
     for k in range(r):
-        dm = np.where(active, d, -np.inf)
-        p = int(np.argmax(dm))
-        exhausted = d[p] <= 0.0
+        p = int(np.argmax(d))
         tau = 8 * (k + 1) * _EPS
-        if uu is not None and not exhausted and d[p] <= tau * d0_max:
-            # d[p] is the largest unselected entry, so the test above is
-            # necessary for this one and spares its cost at most pivots
-            exhausted = bool(np.all(d[active] <= tau * d0[active]))
-        if exhausted:
+        # d[p] is the largest unselected entry, so its test is necessary for
+        # the full one and spares that one's cost at most pivots
+        if d[p] <= tau * d0_max and np.all(d <= tau * d0):
             # what is left is numerically zero mass
             if accept is not None and k:
                 accept(pivots[:k], L[:, :k], C[:, :k], 0.0)
@@ -731,7 +726,7 @@ def _pivoted_cholesky_lazy(U, accept=None, uu=None, max_pivots=None):
         C[:, k] = col
         active[p] = False
         d -= lk * lk
-        d[p] = 0.0
+        d[p] = -np.inf
         if np.min(d[active], initial=0.0) < tol_neg:
             return pivots[:k], L[:, :k], C[:, :k], True
         n = k + 1

@@ -44,8 +44,9 @@ def dense_rel_error(U, V):
 
 
 class TestReduceContract:
-    def test_duplicate_term_collapses(self, rng):
-        base = random_signed_ctd((5, 4, 6), 1, rng)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_duplicate_term_collapses(self, seed):
+        base = random_signed_ctd((5, 4, 6), 1, np.random.default_rng(seed))
         U = duplicated_ctd(base, 2)
         for algo in ("id", "als"):
             res = reduce(U, ReductionConfig(epsilon=1e-10, algorithm=algo, norm="snorm"))
@@ -559,6 +560,25 @@ class TestStoppedCholesky:
         assert_allclose([res for _, res in offers], rem, rtol=0, atol=1e-12 * scale_)
         S = l_piv
         assert_allclose(l_L[S] @ l_L[S].T, G[np.ix_(S, S)], rtol=0, atol=1e-12 * scale_)
+
+    def test_exhaustion_does_not_depend_on_the_mode(self):
+        # An exact duplicate of the pivot leaves an updated diagonal entry
+        # of a few eps of its initial value, positive for this seed.  With
+        # or without <U, U> it counts as exhausted, so the one pivot is
+        # offered once more with residual 0.
+        base = random_signed_ctd((5, 4, 6), 1, np.random.default_rng(0))
+        U = duplicated_ctd(base, 2)
+        for uu in (None, inner(U, U)):
+            offers = []
+
+            def accept(pivots, L, C, res):
+                offers.append((len(pivots), res))
+                return False
+
+            pivots, _, _, indefinite = reduction_mod._pivoted_cholesky_lazy(U, accept, uu=uu)
+            assert not indefinite
+            assert len(pivots) == 1, uu
+            assert offers[-1] == (1, 0.0), uu
 
 
 class TestDistinctTermOrder:
