@@ -255,16 +255,13 @@ def _gram_cols(U, V, c, e, dims=slice(None)):
     its unfolding spectra and, one column at a time, the pivoted Cholesky's
     Gram columns (``reduction._gram_column``).
 
-    Each product of several columns is a GEMM on a copy of them: on one
-    buffer NumPy calls SYRK, which OpenBLAS threads even at small sizes, at
-    milliseconds per call on two cores.  One column is multiplied as a view,
-    which NumPy computes as the GEMV Fu^T v, bit for bit; on a copy the
-    last bits differ in about half the columns, and they move the seeded
-    Ackley run's trajectory.
+    Each product is a GEMM on a copy of the columns: on one buffer NumPy
+    calls SYRK, which OpenBLAS threads even at small sizes, at milliseconds
+    per call on two cores.
     """
     G = np.ones((U.rank, e - c))
     for Fu, Fv in zip(U.factors[dims], V.factors[dims]):
-        G *= Fu.T @ (Fv[:, c:e] if e - c == 1 else Fv[:, c:e].copy())
+        G *= Fu.T @ Fv[:, c:e].copy()
     return G
 
 

@@ -144,12 +144,12 @@ class ReductionResult:
       is the sum of the unselected terms' residual energies, while the
       residual of the refit is the norm of the sum of those residuals,
       which can be up to sqrt(r - k) times larger for r input terms and a
-      skeleton of k.  So the estimate does not bound the s-norm error.  A
-      skeleton that exhausts the Cholesky's diagonal, by the rule that
-      gives a Frobenius skeleton error 0 (see
-      :func:`_pivoted_cholesky_lazy`), has estimate 0 and is accepted with
-      ``rel_error`` 0: its other terms lie in its span to working
-      precision.
+      skeleton of k.  So the estimate does not bound the s-norm error.  An
+      estimate of 0, as for a skeleton that exhausts the Cholesky's
+      diagonal (see :func:`_pivoted_cholesky_lazy`), is not taken as an
+      error: exhaustion resolves a term's distance to the skeleton's span
+      only to about sqrt(eps) of its norm, so such a skeleton is bounded
+      or measured like any other.
 
     ``sweeps`` counts the ALS sweeps of the candidate ranks that were
     fitted, also when the skeleton is returned; a rank ALS skips unfitted
@@ -676,11 +676,14 @@ def _pivoted_cholesky_lazy(U, accept=None, uu=None, max_pivots=None):
     One exhaustion rule serves both modes: after k pivots the diagonal is
     exhausted once every unselected entry is at most 8 (k + 1) eps times its
     initial value, an entry at most 0 included.  Each is that value less k
-    squares whose sum is at most that value, so this is their rounding, and
-    every unselected term lies in the skeleton's span to working precision.
-    The last skeleton is then offered once more, with ``res`` 0.  A pivot's
-    entry of the updated diagonal is set to -inf, so the next pivot is the
-    diagonal's argmax.
+    squares whose sum is at most that value, so this is their rounding: the
+    diagonal resolves no more.  The last skeleton is then offered once more,
+    with ``res`` 0.  That says only that each unselected term lies within
+    about sqrt(8 (k + 1) eps) of its norm of the skeleton's span, about
+    what the Frobenius residual resolves too; the interpolative s-norm
+    search bounds or measures such a skeleton (:func:`_skeleton_search`).
+    A pivot's entry of the updated diagonal is set to -inf, so the next
+    pivot is the diagonal's argmax.
 
     Without ``accept`` it factors until the diagonal is exhausted or the
     ``max_pivots`` cap is reached.  A capped or accepted run is a bitwise
@@ -912,9 +915,11 @@ def _skeleton_search(U, cfg, goal, uu=None):
       is the bound :func:`_frobenius_bound` makes of the residual.
     * Without ``uu``, in the interpolative s-norm, the Cholesky offers the
       unselected diagonal mass.  A skeleton is read only where that mass is
-      at most goal^2, or at the cap.  A skeleton whose mass is within 0.1 *
-      goal is accepted on that estimate (see :class:`ReductionResult` for
-      why it is not a bound).  Otherwise, up to input rank 512
+      at most goal^2, or at the cap.  A skeleton whose mass is positive and
+      within 0.1 * goal is accepted on that estimate (see
+      :class:`ReductionResult` for why it is not a bound); an exhausted
+      diagonal's mass of 0 is below the Cholesky's resolution, so that
+      skeleton is read like the rest.  Otherwise, up to input rank 512
       (``_SNORM_GRAM_MAX_RANK``), it is bounded from the half Grams of U's
       balanced split (:func:`_split_gram`), formed once at the first such
       skeleton: first by its refit's Frobenius residual, <U, U> - ||L^T
@@ -960,7 +965,7 @@ def _skeleton_search(U, cfg, goal, uu=None):
             err = _frobenius_bound(res, U, goal)
         elif uu is None and res > goal * goal and k != cfg.max_rank:
             return False
-        elif uu is None and err > 0.1 * goal:
+        elif uu is None and not 0.0 < err <= 0.1 * goal:
             c = _skeleton_coefficients(C, pivots, k)
             R = _skeleton_residual(U, pivots, c)
             err = None

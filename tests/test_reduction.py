@@ -44,7 +44,7 @@ def dense_rel_error(U, V):
 
 
 class TestReduceContract:
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", [*range(8), 20260822])
     def test_duplicate_term_collapses(self, seed):
         base = random_signed_ctd((5, 4, 6), 1, np.random.default_rng(seed))
         U = duplicated_ctd(base, 2)
@@ -54,6 +54,23 @@ class TestReduceContract:
             assert res.tolerance_met
             assert_allclose(res.ctd.svalues[0], 2.0 * base.svalues[0], rtol=1e-12)
             assert dense_rel_error(U, res.ctd) <= 1e-12
+
+    @pytest.mark.parametrize("delta", [1e-8, 2e-8, 5e-8])
+    def test_near_duplicate_term_is_not_dropped_on_exhaustion(self, delta):
+        # b copies a's term with each factor entry perturbed by a
+        # relative delta.  b's updated diagonal entry after pivoting on a is
+        # about delta^2 of its initial value, within the Cholesky's
+        # exhaustion band, yet b lies about delta of its norm from a's span,
+        # far above the goal: the s-norm ID must not accept a on exhaustion.
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            a = random_signed_ctd((5, 4, 6), 1, rng)
+            factors = [F * (1.0 + delta * rng.standard_normal(F.shape)) for F in a.factors]
+            b = CTD(a.svalues, [F / np.linalg.norm(F, axis=0) for F in factors])
+            U = add(a, b)
+            res = reduce(U, ReductionConfig(epsilon=1e-10, norm="snorm"))
+            assert res.tolerance_met
+            assert dense_rel_error(U, res.ctd) <= 1e-10, (seed, res.rank)
 
     def test_exactly_dependent_minimal_rank(self, rng):
         # Three distinct directions, each duplicated: minimal rank is 3.
