@@ -251,9 +251,9 @@ def _gram_cols(U, V, c, e, dims=slice(None)):
     prod_j <u_j^(a), v_j^(b)> over the dimensions ``dims``: the elementwise
     product, in dimension order, of Fu^T Fv[:, c:e], all ones over none.
     It is the one kernel for term inner products: :func:`inner` sums its
-    blocks, and the reduction takes from it its split Grams, the blocks of
-    its unfolding spectra and, one column at a time, the pivoted Cholesky's
-    Gram columns (``reduction._gram_column``).
+    blocks, and the reduction takes from it its split Grams and, one column
+    at a time, the pivoted Cholesky's Gram columns
+    (``reduction._gram_column``).
 
     Each product is a GEMM on a copy of the columns: on one buffer NumPy
     calls SYRK, which OpenBLAS threads even at small sizes, at milliseconds

@@ -151,10 +151,10 @@ class ReductionResult:
       only to about sqrt(eps) of its norm, so such a skeleton is bounded
       or measured like any other.
 
-    ``sweeps`` counts the ALS sweeps of the candidate ranks that were
-    fitted, also when the skeleton is returned; a rank ALS skips unfitted
-    adds none, and the interpolative path reports 0.  ``tolerance_met`` is
-    False only when a max_rank cap forced a best-effort answer.
+    ``sweeps`` counts the ALS sweeps of every candidate rank fitted, also
+    when the skeleton is returned; the interpolative path reports 0.
+    ``tolerance_met`` is False only when a max_rank cap forced a best-effort
+    answer.
     ``fallback_to_als`` marks interpolative runs that detected an indefinite
     Gram matrix and fell back to ALS, started from the pivots found before
     the break.
@@ -226,12 +226,11 @@ def _frobenius_bound(sq, U, goal):
     The s-norm never exceeds the Frobenius norm, so sqrt(sq) bounds the
     s-norm error up to the rounding of the difference.  The allowance
     r * eps * (sum |s|)^2, for U's r terms and s-values s, estimates that
-    rounding, as :func:`_rank_floor` estimates its own: every term of those
-    sums is at most the product of two s-values, and their sum can be far
-    larger than ||U||^2 where terms cancel.  It is an estimate, not a proved
-    bound.  Where it alone exceeds goal^2, as at tolerances below about
-    sqrt(eps), the Frobenius residual cannot resolve the goal, and this
-    returns None whatever ``sq`` is.
+    rounding: every term of those sums is at most the product of two
+    s-values, and their sum can be far larger than ||U||^2 where terms
+    cancel.  It is an estimate, not a proved bound.  Where it alone exceeds
+    goal^2, as at tolerances below about sqrt(eps), the Frobenius residual
+    cannot resolve the goal, and this returns None whatever ``sq`` is.
     """
     size = float(np.sum(np.abs(U.svalues)))
     bound_sq = max(sq, 0.0) + U.rank * _EPS * size * size
@@ -444,57 +443,6 @@ class _AlsState:
         return _normalized(self.sv, self.factors)
 
 
-def _unfolding_spectra(U):
-    """Squared singular values of each mode-j unfolding U_(j), largest first,
-    one array of length M_j per dimension.
-
-    They are the eigenvalues of U_(j) U_(j)^T = F_j (W o H_j) F_j^T, where W
-    = s s^T for the s-values s and H_j is the elementwise product of the
-    other dimensions' factor Grams F_l^T F_l, so each costs an M_j x M_j
-    eigenproblem and no entry of U is formed.  The products are summed one
-    column block of H_j at a time, from the block's d factor-Gram columns,
-    formed once for every j by :func:`~ctdopt.ctd._gram_cols` over one
-    dimension each, so no r x r array is held.
-    Eigenvalues that roundoff pushes below zero are clipped to zero.
-    """
-    r, s = U.rank, U.svalues
-    sums = [np.zeros((M, M)) for M in U.modes]
-    for c in range(0, r, _BLOCK):
-        e = min(c + _BLOCK, r)
-        cols = [_gram_cols(U, U, c, e, slice(l, l + 1)) for l in range(U.ndim)]
-        for j, F in enumerate(U.factors):
-            H = np.outer(s, s[c:e])
-            for l, G in enumerate(cols):
-                if l != j:
-                    H *= G
-            sums[j] += F @ H @ F[:, c:e].T
-        del cols, H  # released before the next block's are formed
-    return [np.maximum(np.linalg.eigvalsh(S)[::-1], 0.0) for S in sums]
-
-
-def _rank_floor(U):
-    """``floor[k]`` for k = 0..r: the squared Frobenius error below which no
-    rank-k CTD comes to U, less a rounding allowance.
-
-    A rank-k CTD has mode-j unfoldings of matrix rank at most k, so by
-    Eckart-Young its squared error is at least the energy of each U_(j)'s
-    spectrum past its k largest values (:func:`_unfolding_spectra`); the
-    floor takes the largest such tail over j.  The allowance, eps * (d *
-    max M_j + r) * (sum of s-values)^2, estimates the rounding in those
-    tails: every entry of U_(j) U_(j)^T is a sum of terms no larger than
-    (sum s)^2, formed through d Gram products of length up to M_j and an
-    r x r contraction.  It is an estimate, not a proved bound.
-    """
-    floor = np.zeros(U.rank + 1)
-    for lam in _unfolding_spectra(U):
-        tails = np.cumsum(lam[::-1])[::-1]  # tails[k] = sum(lam[k:])
-        k = min(len(tails), len(floor))
-        floor[:k] = np.maximum(floor[:k], tails[:k])
-    allowance = (np.finfo(float).eps * (U.ndim * max(U.modes) + U.rank)
-                 * float(np.sum(U.svalues)) ** 2)
-    return floor - allowance
-
-
 def _als_fit(U, terms, cfg, uu, goal):
     """Fit a rank-``len(terms)`` CTD to U by ALS, started from U's terms
     ``terms``, until its Frobenius residual meets ``goal``, stalls, or, in
@@ -512,10 +460,12 @@ def _als_fit(U, terms, cfg, uu, goal):
     fit can sit in a swamp and then speed up by more (Mohlenkamp, Linear
     Algebra Appl. 438, 2013), and such a fit is then counted as failed.
     The stop applies only in the Frobenius norm without a ``max_rank`` cap,
-    where a failed fit is used only for the fact that it failed.  In the
-    s-norm a fit that misses the goal in the Frobenius norm can still pass
-    its s-norm measurement, and under a cap the errors of failed fits are
-    compared, so both run every fit to the goal, a stall or the budget.
+    where a failed fit is used only for the fact that it failed, and it is
+    the one rule there that gives up on a candidate rank: every rank the
+    ascent and bisection reach is fitted.  In the s-norm a fit that misses
+    the goal in the Frobenius norm can still pass its s-norm measurement,
+    and under a cap the errors of failed fits are compared, so both run
+    every fit to the goal, a stall or the budget.
     """
     state = _AlsState(U, U.svalues[terms], [F[:, terms] for F in U.factors])
     stall = 1e-3 * cfg.epsilon * max(np.sqrt(uu), 1e-300)
@@ -570,30 +520,18 @@ def _als_reduce(U, cfg, uu, goal, pivots, skeleton, k):
     so a search stopped at k gives the same fits as one run to exhaustion.
     ``uu`` is <U, U> (:func:`~ctdopt.ctd.inner`), and ``goal`` the absolute
     tolerance.
-
-    In the Frobenius norm and without a ``max_rank`` cap, a candidate rank
-    that the unfolding spectra prove too small (:func:`_rank_floor` above
-    goal^2) is counted as failed without being fitted: no ALS fit of that
-    rank could meet the goal.  The floor is formed once, before the first
-    candidate.  The s-norm is not bounded below by it, and a capped reduction
-    compares the fitted errors of its failures, so both fit every rank.
     """
     rest = np.setdiff1d(np.arange(U.rank), pivots)
     order = np.concatenate([pivots, rest[np.argsort(-U.svalues[rest], kind="stable")]])
     limit = U.rank - 1 if cfg.max_rank is None else min(U.rank - 1, cfg.max_rank)
     accepted = skeleton
     hi = limit + 1 if skeleton is None else k  # every candidate rank is below it
-    floor = None  # formed only where there is a candidate rank to rule out
-    if cfg.norm == "frobenius" and cfg.max_rank is None and hi > 1:
-        floor = _rank_floor(U)
     total_sweeps = 0
     best = None  # the least-error (error, V) under a max_rank cap
 
     def try_rank(r):
-        """(error, V) of the fit at rank r, or None if the floor rules r out."""
+        """(error, V) of the fit at rank r."""
         nonlocal total_sweeps, best
-        if floor is not None and floor[r] > goal * goal:
-            return None
         state, fro_res, sweeps = _als_fit(U, order[:r], cfg, uu, goal)
         total_sweeps += sweeps
         V = state.to_ctd()
@@ -616,14 +554,14 @@ def _als_reduce(U, cfg, uu, goal, pivots, skeleton, k):
     lo, r = 0, 1
     while r < hi:
         fit = try_rank(r)
-        if fit is not None and fit[0] <= goal:
+        if fit[0] <= goal:
             accepted, hi = fit, r
             break
         lo, r = r, (min(2 * r, limit) if r < limit else hi)
     while accepted is not None and hi - lo > 1:
         mid = (lo + hi) // 2
         fit = try_rank(mid)
-        if fit is not None and fit[0] <= goal:
+        if fit[0] <= goal:
             accepted, hi = fit, mid
         else:
             lo = mid

@@ -229,6 +229,7 @@ class SeparatedFunction:
     ``evaluators`` is dimension-major, mirroring CTD factor layout:
     ``evaluators[j][l]`` is the univariate factor of term l in dimension j
     and must accept numpy arrays.  ``box`` lists per-dimension (lo, hi).
+    A non-finite s-value raises ValueError.
     """
 
     svalues: np.ndarray
@@ -239,6 +240,9 @@ class SeparatedFunction:
         self.svalues = np.asarray(self.svalues, dtype=float)
         if self.svalues.ndim != 1:
             raise ValueError("svalues must be a vector")
+        bad = np.flatnonzero(~np.isfinite(self.svalues))
+        if bad.size:
+            raise ValueError(f"the s-value of term {bad[0]} is not finite")
         r = self.svalues.shape[0]
         if len(self.evaluators) == 0:
             raise ValueError("need at least one dimension")
@@ -430,7 +434,8 @@ def sample_to_ctd(f, grid):
     Rank is preserved term for term; factor columns are the evaluator values
     at the grid coordinates, renormalized into the s-values by the CTD
     constructor.  Entry (i_1..i_d) of the result equals f at the corresponding
-    grid point.
+    grid point.  An evaluator with a non-finite value on its grid raises
+    ValueError, before any column is divided by its norm.
     """
     if grid.ndim != f.ndim:
         raise ValueError(f"grid has {grid.ndim} dimensions, function has {f.ndim}")
@@ -438,6 +443,9 @@ def sample_to_ctd(f, grid):
     for j in range(f.ndim):
         cols = [np.asarray(ev(grid.coords[j]), dtype=float) for ev in f.evaluators[j]]
         factors.append(np.column_stack(cols))
+        bad = np.flatnonzero(~np.isfinite(factors[j]).all(axis=0))
+        if bad.size:
+            raise ValueError(f"term {bad[0]} is not finite on the grid of dimension {j}")
     return _normalized_ctd(f.svalues.copy(), factors)
 
 

@@ -203,8 +203,8 @@ def test_squaring_search_holds_one_unreduced_square(monkeypatch):
 def test_frobenius_reduce_holds_no_term_gram():
     # The rank-3081 square of a max-entry search whose ranks run away (12 ->
     # 78 -> 3081 -> 388 -> ...).  Its term Gram would take 8 r^2 bytes, 72
-    # MiB: the Frobenius ID search and the ALS rank floor each stay below
-    # that, summing <U, U> and the unfolding spectra a column block at a time.
+    # MiB: the Frobenius ID search stays below that, summing <U, U> a column
+    # block at a time.
     U = random_ctd([6] * 4, 12, rng=np.random.default_rng(3))
     cfg = ReductionConfig(epsilon=1e-6)
     Q = square(reduce(square(U), cfg).ctd)
@@ -212,6 +212,4 @@ def test_frobenius_reduce_holds_no_term_gram():
     gram = 8 * Q.rank ** 2
     res, peak = traced_peak(reduce, Q, cfg)
     assert res.rank == 388 and res.tolerance_met
-    assert peak < gram
-    _, peak = traced_peak(reduction._rank_floor, Q)
     assert peak < gram

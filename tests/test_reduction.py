@@ -604,15 +604,15 @@ class TestDistinctTermOrder:
 
     def test_formed_once_per_reduction(self, rng, monkeypatch):
         # Three directions, each twice: the Cholesky pivots one term of
-        # each, and that rank-3 skeleton meets the goal; the unfolding
-        # spectra rule out ranks 1 and 2, so ALS fits nothing.
+        # each, and that rank-3 skeleton meets the goal; ALS fits ranks 1
+        # and 2 from prefixes of that one pivot order, and both fail.
         U = three_directions_twice(rng)
         calls = count_calls(monkeypatch, "_pivoted_cholesky_lazy")
         fitted = record_fitted_ranks(monkeypatch)
         res = reduce(U, ReductionConfig(epsilon=1e-6, algorithm="als"))
         assert res.rank == 3
         assert res.algorithm == "als"
-        assert fitted == []
+        assert fitted == [1, 2]
         assert calls["_pivoted_cholesky_lazy"] == 1
 
     @pytest.mark.parametrize("norm", ["frobenius", "snorm"])
@@ -704,123 +704,6 @@ def record_fitted_ranks(monkeypatch):
 
     monkeypatch.setattr(reduction_mod, "_als_fit", wrapper)
     return fitted
-
-
-def dense_unfolding(U, j):
-    """The mode-j unfolding of the dense tensor: M_j rows, one column per
-    index of the other dimensions."""
-    return np.moveaxis(to_dense(U), j, 0).reshape(U.modes[j], -1)
-
-
-class TestRankFloor:
-    """``_unfolding_spectra`` and the rank floor that lets Frobenius ALS
-    skip candidate ranks that cannot meet the tolerance."""
-
-    @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(
-        st.integers(0, 2**32 - 1),
-        st.integers(1, 8),
-        st.lists(st.integers(2, 6), min_size=2, max_size=4),
-    )
-    @example(seed=1, rank=8, modes=[2, 3, 2])  # every M_j < r
-    @example(seed=2, rank=2, modes=[6, 5, 6, 4])  # every M_j > r
-    def test_spectra_match_dense_svd(self, seed, rank, modes):
-        U = _small_ctd(seed, rank, modes)
-        spectra = reduction_mod._unfolding_spectra(U)
-        assert len(spectra) == U.ndim
-        for j, lam in enumerate(spectra):
-            sigma = np.linalg.svd(dense_unfolding(U, j), compute_uv=False)
-            want = np.zeros(U.modes[j])
-            want[:sigma.size] = sigma**2
-            assert lam.shape == want.shape
-            assert np.all(lam >= 0.0)
-            assert np.all(np.diff(lam) <= 0.0)
-            assert_allclose(lam, want, rtol=0, atol=1e-12 * want[0])
-
-    def test_blocked_sums_match_dense(self, rng):
-        # Rank 150 spans three column blocks of the term Gram, over which
-        # both the spectra and <U, U> are summed.
-        U = random_signed_ctd((3, 4, 5, 3), 150, rng)
-        dense = to_dense(U)
-        for j, lam in enumerate(reduction_mod._unfolding_spectra(U)):
-            want = np.linalg.svd(dense_unfolding(U, j), compute_uv=False) ** 2
-            assert_allclose(lam, want, rtol=0, atol=1e-12 * want[0])
-        assert_allclose(inner(U, U), np.sum(dense ** 2), rtol=1e-12)
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        st.integers(0, 2**32 - 1),
-        st.integers(1, 6),
-        st.lists(st.integers(2, 6), min_size=2, max_size=4),
-        st.integers(1, 3),
-    )
-    def test_exact_rank_never_skipped(self, seed, rank, modes, copies):
-        # U is exactly rank ``rank`` (each term repeated at other weights and
-        # signs), so its floor at that rank must not rule it out at any goal.
-        rng = np.random.default_rng(seed)
-        W = random_signed_ctd(modes, rank, rng)
-        U = W
-        for c in rng.uniform(-2.0, 2.0, size=copies):
-            U = add(U, scale(W, c))
-        floor = reduction_mod._rank_floor(U)
-        assert floor.shape == (U.rank + 1,)
-        assert floor[rank] <= 0.0
-
-    def test_floor_is_the_largest_tail_less_the_allowance(self, rng):
-        U = random_signed_ctd((5, 6, 4), 6, rng)
-        tails = np.zeros(U.rank + 1)
-        for j in range(U.ndim):
-            sigma = np.linalg.svd(dense_unfolding(U, j), compute_uv=False)
-            for k in range(U.rank + 1):
-                tails[k] = max(tails[k], np.sum(sigma[k:] ** 2))
-        allowance = np.finfo(float).eps * (3 * 6 + 6) * np.sum(U.svalues) ** 2
-        assert_allclose(reduction_mod._rank_floor(U), tails - allowance,
-                        rtol=0, atol=1e-12 * tails[0])
-        # No rank-k CTD comes closer, U's own k largest terms among them.
-        dense = to_dense(U)
-        for k in range(U.rank + 1):
-            keep = np.argsort(-U.svalues)[:k]
-            V = CTD(U.svalues[keep], [F[:, keep] for F in U.factors])
-            assert tails[k] <= np.sum((dense - to_dense(V)) ** 2) * (1 + 1e-12)
-
-    @pytest.mark.parametrize("kwargs, ranks", [
-        ({"norm": "snorm"}, [1, 2]),
-        ({"norm": "frobenius", "max_rank": 2}, [1, 2]),
-        ({"norm": "snorm", "max_rank": 2}, [1, 2]),
-    ])
-    def test_snorm_and_capped_fit_every_rank(self, rng, monkeypatch, kwargs, ranks):
-        # Outside the uncapped Frobenius norm the floor is never formed, and
-        # every candidate rank of the ascent is fitted: in the s-norm those
-        # below the rank-3 skeleton, which the cap of 2 rules out.
-        U = three_directions_twice(rng)
-
-        def no_floor(_):
-            raise AssertionError("floor formed")
-
-        monkeypatch.setattr(reduction_mod, "_rank_floor", no_floor)
-        fitted = record_fitted_ranks(monkeypatch)
-        reduce(U, ReductionConfig(epsilon=1e-6, algorithm="als", **kwargs))
-        assert fitted == ranks
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_skipping_changes_only_the_sweeps(self, monkeypatch, seed):
-        # Without the floor every candidate rank is fitted.  The skipped fits
-        # would have failed, and each fit starts afresh from its prefix of
-        # the term order, so the result is bitwise the same, in fewer sweeps.
-        rng = np.random.default_rng([7, seed])
-        W = random_signed_ctd((6, 5, 6), 5, rng)
-        U = add(W, scale(W, -0.5))
-        U = add(U, scale(random_signed_ctd((6, 5, 6), 3, rng), 1e-9))
-        cfg = ReductionConfig(epsilon=1e-6, algorithm="als")
-        pruned = reduce(U, cfg)
-        monkeypatch.setattr(reduction_mod, "_rank_floor",
-                            lambda V: np.zeros(V.rank + 1))
-        full = reduce(U, cfg)
-        assert pruned.sweeps < full.sweeps
-        assert pruned.rel_error == full.rel_error
-        assert np.array_equal(pruned.ctd.svalues, full.ctd.svalues)
-        for got, want in zip(pruned.ctd.factors, full.ctd.factors):
-            assert np.array_equal(got, want)
 
 
 class TestReductionResult:
@@ -1059,6 +942,39 @@ class TestAlsOutOfReach:
         assert res.rank == 3
         assert res.tolerance_met
         assert fitted[-1] == 3
+
+    def test_ackley_sample_every_rank_fitted(self, ackley_sample, monkeypatch):
+        # The out-of-reach stop is the one rule that gives up on a rank: the
+        # ascent fits ranks 1, 2 and 4 too, and each fails within a few
+        # sweeps, before the bisection lands on the rank-14 fit.
+        fitted = record_fitted_ranks(monkeypatch)
+        sweeps = []
+        fit = reduction_mod._als_fit
+
+        def counted(*args):
+            out = fit(*args)
+            sweeps.append(out[2])
+            return out
+
+        monkeypatch.setattr(reduction_mod, "_als_fit", counted)
+        res = reduce(ackley_sample, ReductionConfig(epsilon=1e-6, algorithm="als"))
+        assert fitted == [1, 2, 4, 8, 16, 12, 14, 13]
+        assert all(n <= 10 for n in sweeps[:3]), sweeps
+        assert res.rank == 14
+        assert res.tolerance_met
+
+    @pytest.mark.parametrize("kwargs, ranks", [
+        ({"norm": "snorm"}, [1, 2]),
+        ({"norm": "frobenius", "max_rank": 2}, [1, 2]),
+        ({"norm": "snorm", "max_rank": 2}, [1, 2]),
+    ])
+    def test_snorm_and_capped_fit_every_rank(self, rng, monkeypatch, kwargs, ranks):
+        # Every candidate rank of the ascent is fitted: in the s-norm those
+        # below the rank-3 skeleton, which the cap of 2 rules out.
+        U = three_directions_twice(rng)
+        fitted = record_fitted_ranks(monkeypatch)
+        reduce(U, ReductionConfig(epsilon=1e-6, algorithm="als", **kwargs))
+        assert fitted == ranks
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(*_dependent_args, st.sampled_from([0.0, 1e-9, 1e-6, 1e-4, 1e-2]),

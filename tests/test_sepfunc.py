@@ -348,6 +348,27 @@ class TestSampleToCTD:
         with pytest.raises(ValueError):
             sample_to_ctd(f, grid)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_sample_rejected(self, bad):
+        # Term 1 is not finite at x = 0 in dimension 2 only.  np.where
+        # raises no RuntimeWarning, so only the check can reject it.
+        def one(t):
+            return np.ones_like(np.asarray(t, dtype=float))
+
+        def pole(t):
+            return np.where(np.asarray(t) == 0.0, bad, 1.0)
+
+        f = SeparatedFunction([1.0, 2.0], [[one, one], [one, one], [one, pole]],
+                              [(-1.0, 1.0)] * 3)
+        grid = Grid.uniform_product(np.linspace(-1, 1, 5), 3, (-1.0, 1.0))
+        with pytest.raises(ValueError, match="term 1 is not finite on the grid of dimension 2"):
+            sample_to_ctd(f, grid)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_svalue_rejected(self, bad):
+        with pytest.raises(ValueError, match="s-value of term 1 is not finite"):
+            SeparatedFunction([1.0, bad], [[np.cos, np.cos]], [(-1.0, 1.0)])
+
 
 class TestIndexToPoint:
     def test_lookups(self):
