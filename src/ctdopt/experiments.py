@@ -242,9 +242,9 @@ def run_demo_convergence(cfg):
 def run_demo_two_maxima(cfg):
     """Two equal spikes: candidates at fixed k=6, then an extended run.
 
-    The k=6 run reports both planted locations; the extended run shows the
-    iterate eventually collapsing to a single term once floating-point noise
-    breaks the tie.  Six dimensions, 32 points per dimension, rank-3
+    The k=6 run reports both planted locations; in the extended run the
+    iterate may collapse to a single term; an exact tie is a rank-2 fixed
+    point.  Six dimensions, 32 points per dimension, rank-3
     background, both spikes at 3.5; the extended run stops at rank 1 or
     after 60 iterations.  Default reduction: interpolative Frobenius at 1e-6.
     """

@@ -4,13 +4,13 @@ One entry point, :func:`reduce`, forms the norm target, runs one skeleton
 search and hands it to one of two algorithms:
 
 * the search (:func:`_skeleton_search`) picks a skeleton of existing terms
-  by one pivoted Cholesky on the term Gram matrix and least-squares refits
-  the weights.  The Gram is never formed: the Cholesky reads its diagonal
-  and fetches only the columns it pivots on.  In the Frobenius norm and for
-  ALS the search tracks the exact residual of the refit on its pivots, from
-  <U, U> summed a column block at a time; in the interpolative s-norm it
-  bounds its skeletons below input rank 512 from the half Grams of a
-  balanced split;
+  by one pivoted Cholesky on the term Gram matrix and reads the weights of
+  the least-squares refit off its factor.  The Gram is never formed: the
+  Cholesky reads its diagonal and fetches only the columns it pivots on.
+  In the Frobenius norm and for ALS the search tracks the exact residual
+  of that refit, from <U, U> summed a column block at a time; in the
+  interpolative s-norm it bounds its skeletons below input rank 512 from
+  the half Grams of a balanced split;
 * the interpolative variant (``"id"``) returns that skeleton, whose factor
   columns are input columns, untouched;
 * alternating least squares (``"als"``) fits lower-rank CTDs below it,
@@ -594,18 +594,18 @@ def _pivoted_cholesky_lazy(U, accept=None, uu=None, max_pivots=None):
     ``_lazy`` name because ``perfbench/tracer.py`` counts its calls under
     that name.
 
-    Returns (pivots, L, C, indefinite): ``C[:, k]`` is the Gram column of
-    the k-th pivot, for the skeleton refit, and ``L[:, :k]`` reproduces the
-    Gram on the pivot block exactly; L[:, :k] L[:, :k]^T is the Gram
-    projected onto the first k pivots, so ||L[:, :k]^T 1||^2 is ||P_S U||^2,
-    the squared norm of the refit of U on them.  Ties in the pivot choice
-    resolve to the lowest index.  ``indefinite`` flags an updated diagonal
-    dipping below the negative roundoff band; the pivot that made it dip is
-    left out.
+    Returns (pivots, L, indefinite): ``L[:, :k]`` reproduces the Gram
+    columns of the first k pivots exactly, and L[:, :k] L[:, :k]^T is the
+    Gram projected onto them, so ||L[:, :k]^T 1||^2 is ||P_S U||^2, the
+    squared norm of the refit of U on them, whose weights L also gives
+    (:func:`_skeleton_coefficients`).  Ties in the pivot choice resolve to
+    the lowest index.  ``indefinite`` flags an updated diagonal dipping
+    below the negative roundoff band; the pivot that made it dip is left
+    out.
 
     After each pivot k it offers the skeleton of the first k + 1 pivots to
-    ``accept(pivots, L, C, res)``, with the views of the arrays above, and
-    stops at the first True.  ``res`` is the skeleton's squared residual:
+    ``accept(pivots, L, res)``, with views of the arrays above, and stops
+    at the first True.  ``res`` is the skeleton's squared residual:
     with ``uu`` = <U, U>, as :func:`_skeleton_search` passes it in the
     Frobenius norm and for ALS, ``uu - ||L^T 1||^2``, the squared Frobenius
     residual of the least-squares refit of U on the pivots; without it, the
@@ -636,7 +636,6 @@ def _pivoted_cholesky_lazy(U, accept=None, uu=None, max_pivots=None):
     tol_neg = -1e-10 * max(d0_max, 1e-300)
     cap = 64
     L = np.zeros((r, cap))
-    C = np.zeros((r, cap))
     pivots = np.zeros(r, dtype=int)
     active = np.ones(r, dtype=bool)
     proj = 0.0
@@ -649,62 +648,59 @@ def _pivoted_cholesky_lazy(U, accept=None, uu=None, max_pivots=None):
         if d[p] <= tau * d0_max and np.all(d <= tau * d0):
             # what is left is numerically zero mass
             if accept is not None and k:
-                accept(pivots[:k], L[:, :k], C[:, :k], 0.0)
+                accept(pivots[:k], L[:, :k], 0.0)
             break
         if k == max_pivots:
             break
         if k == cap:
-            grow = cap
+            L = np.concatenate([L, np.zeros((r, cap))], axis=1)
             cap *= 2
-            L = np.concatenate([L, np.zeros((r, grow))], axis=1)
-            C = np.concatenate([C, np.zeros((r, grow))], axis=1)
-        col = _gram_column(U, p)
         pivots[k] = p
-        lk = (col - L[:, :k] @ L[p, :k]) / np.sqrt(d[p])
+        lk = (_gram_column(U, p) - L[:, :k] @ L[p, :k]) / np.sqrt(d[p])
         lk[~active] = 0.0
         lk[p] = np.sqrt(d[p])
         L[:, k] = lk
-        C[:, k] = col
         active[p] = False
         d -= lk * lk
         d[p] = -np.inf
         if np.min(d[active], initial=0.0) < tol_neg:
-            return pivots[:k], L[:, :k], C[:, :k], True
+            return pivots[:k], L[:, :k], True
         n = k + 1
         if uu is None:
             res = float(np.sum(d[active], initial=0.0))
         else:
             proj += float(np.sum(lk)) ** 2
             res = uu - proj
-        if accept is not None and accept(pivots[:n], L[:, :n], C[:, :n], res):
+        if accept is not None and accept(pivots[:n], L[:, :n], res):
             break
-    return pivots[:n], L[:, :n], C[:, :n], False
+    return pivots[:n], L[:, :n], False
 
 
-def _skeleton_coefficients(C, pivots, k):
+def _skeleton_coefficients(L, pivots, k):
     """Least-squares refit weights c of U onto its terms ``pivots[:k]``,
-    from the Gram columns ``C``: the skeleton term for pivot i is then
-    c_i s_i u_i.
+    read off the Cholesky factor ``L`` of :func:`_pivoted_cholesky_lazy`:
+    the skeleton term for pivot i is then c_i s_i u_i.
 
-    The weights solve the normal equations G_SS c = G_S 1 by a least-squares
-    solve on the skeleton's Gram block G_SS.  Both sides are read from the
-    columns (the symmetric images of the skeleton's Gram rows).
+    The weights solve the normal equations G_SS c = G_S^T 1.  With
+    G_S = L[:, :k] L_S^T, for L_S = L[pivots[:k], :k], they are
+    c = L_S^-T (L[:, :k]^T 1), the refit whose squared residual the
+    Cholesky reports, ||U||^2 - ||L[:, :k]^T 1||^2.  L_S is lower
+    triangular in pivot order, with diagonal sqrt(d_p) > 0, since a pivot
+    is taken only above the exhaustion band, so the solve cannot fail, and
+    its partial pivoting swaps no row of the triangle.
     """
-    S = pivots[:k]
-    b = C[:, :k].sum(axis=0)
-    c, *_ = np.linalg.lstsq(C[S, :k], b, rcond=None)
-    return c
+    return np.linalg.solve(L[pivots[:k], :k].T, L[:, :k].sum(axis=0))
 
 
-def _skeleton_ctd_from_cols(U, C, pivots, k, c=None):
+def _skeleton_ctd(U, L, pivots, k, c=None):
     """The refit of U onto ``pivots[:k]`` (:func:`_skeleton_coefficients`,
-    unless its weights ``c`` are given) as a CTD; returns (V, c).  The
-    skeleton's columns are gathered one dimension at a time, so only one
-    dimension's gathered copy is alive next to the result."""
+    unless its weights ``c`` are given) as a CTD.  The skeleton's columns
+    are gathered one dimension at a time, so only one dimension's gathered
+    copy is alive next to the result."""
     S = pivots[:k]
     if c is None:
-        c = _skeleton_coefficients(C, pivots, k)
-    return _normalized(c * U.svalues[S], (F[:, S] for F in U.factors)), c
+        c = _skeleton_coefficients(L, pivots, k)
+    return _normalized(c * U.svalues[S], (F[:, S] for F in U.factors))
 
 
 def _skeleton_residual(U, S, c):
@@ -883,7 +879,11 @@ def _skeleton_search(U, cfg, goal, uu=None):
     Under a ``max_rank`` cap below rank(U), where no skeleton is accepted,
     the least-error one is kept as ``best``, ties going to the larger.
 
-    Returns (pivots, C, accepted, best, indefinite), each of ``accepted``
+    Every skeleton's weights, and the residual it is read by, come from
+    the one refit the Cholesky factor L defines
+    (:func:`_skeleton_coefficients`).
+
+    Returns (pivots, L, accepted, best, indefinite), each of ``accepted``
     and ``best`` a skeleton (error, k, c) or None, with c its refit weights
     where the search computed them, else None.  An indefinite Gram gives
     the pivots found before the break, and no accepted skeleton: the
@@ -895,7 +895,7 @@ def _skeleton_search(U, cfg, goal, uu=None):
     # their column spaces, each formed when first read
     accepted = best = split = columns = None
 
-    def offer(pivots, L, C, res):
+    def offer(pivots, L, res):
         nonlocal accepted, best, split, columns
         k, c = len(pivots), None
         err = _root(res)
@@ -904,7 +904,7 @@ def _skeleton_search(U, cfg, goal, uu=None):
         elif uu is None and res > goal * goal and k != cfg.max_rank:
             return False
         elif uu is None and not 0.0 < err <= 0.1 * goal:
-            c = _skeleton_coefficients(C, pivots, k)
+            c = _skeleton_coefficients(L, pivots, k)
             R = _skeleton_residual(U, pivots, c)
             err = None
             if U.rank <= _SNORM_GRAM_MAX_RANK:
@@ -928,18 +928,18 @@ def _skeleton_search(U, cfg, goal, uu=None):
             best = (err, k, c)
         return False
 
-    pivots, _, C, indefinite = _pivoted_cholesky_lazy(
+    pivots, L, indefinite = _pivoted_cholesky_lazy(
         U, offer, uu=uu, max_pivots=min(U.rank - 1, cfg.max_rank or U.rank))
-    return pivots, C, accepted, best, indefinite
+    return pivots, L, accepted, best, indefinite
 
 
-def _built(U, C, pivots, found):
+def _built(U, L, pivots, found):
     """(error, V) for a skeleton (error, k, c) of a search, or None; the
-    refit weights are computed only where the search left c None."""
+    refit weights are read off L only where the search left c None."""
     if found is None:
         return None
     err, k, c = found
-    return err, _skeleton_ctd_from_cols(U, C, pivots, k, c)[0]
+    return err, _skeleton_ctd(U, L, pivots, k, c)
 
 
 def reduce(U, cfg):
@@ -956,8 +956,9 @@ def reduce(U, cfg):
     (rank 0 included), sets the goal epsilon * ||U|| and runs the skeleton
     search (:func:`_skeleton_search`) once, with <U, U> in the Frobenius norm
     and for ALS.  No r x r term Gram is formed.  The interpolative path
-    returns the search's skeleton; ALS fits only below it
-    (:func:`_als_reduce`).
+    returns the search's skeleton, with the refit weights read off the
+    search's Cholesky factor, whose residual the search reported; ALS fits
+    only below it (:func:`_als_reduce`).
     An interpolative search that meets an indefinite Gram falls back to
     ALS, flagged, with no skeleton: the fits start from the pivots found
     before the break, and the s-norm first sums <U, U> for them.  The
@@ -978,14 +979,14 @@ def reduce(U, cfg):
     if norm_target <= 1e-300:  # a zero input, rank 0 included
         return _result(U, cfg, cfg.algorithm, 0.0, (0.0, zero_ctd(U.modes)))
     goal = cfg.epsilon * norm_target
-    pivots, C, accepted, best, indefinite = _skeleton_search(U, cfg, goal, uu)
+    pivots, L, accepted, best, indefinite = _skeleton_search(U, cfg, goal, uu)
     if not (als or indefinite):
-        return _result(U, cfg, "id", norm_target, _built(U, C, pivots, accepted),
-                       _built(U, C, pivots, best))
+        return _result(U, cfg, "id", norm_target, _built(U, L, pivots, accepted),
+                       _built(U, L, pivots, best))
     if uu is None:  # the s-norm ID, fallen back to ALS
         uu = inner(U, U)
-    skeleton = _built(U, C, pivots, accepted)
-    del C  # the Gram columns of every pivot, needed only for the skeleton
+    skeleton = _built(U, L, pivots, accepted)
+    del L  # the Cholesky factor, needed only for the skeleton's weights
     k = None if accepted is None else accepted[1]
     return _result(U, cfg, "als", norm_target,
                    *_als_reduce(U, cfg, uu, goal, pivots, skeleton, k),

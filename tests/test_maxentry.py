@@ -145,6 +145,9 @@ class TestPowerMethod:
         assert lams[-1] == pytest.approx(5.0, rel=1e-3)
         assert trace.candidates[0].index == locs[0]
         assert trace.iterations < 80
+        # An iterate of rank 32 holds 32 * 20 factor entries, more than the
+        # 625 entries of the dense tensor; no iterate may run past that.
+        assert max(r.rank for r in trace.records) <= 32
 
     def test_initial_record_has_nan_lambda(self, rng):
         U = random_signed_ctd((3, 3), 2, rng)

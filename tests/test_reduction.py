@@ -72,6 +72,21 @@ class TestReduceContract:
             assert res.tolerance_met
             assert dense_rel_error(U, res.ctd) <= 1e-10, (seed, res.rank)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_multi_scale_spike_is_refit_not_truncated(self, seed):
+        # Three terms, each twice, plus a spike at 1e-8 of the norm: exactly
+        # rank 4, with a skeleton Gram block whose smallest singular value
+        # is under 1e-15 of its largest.  The refit read off the Cholesky
+        # factor gives the spike weight 1; a refit that truncated that
+        # direction would miss the goal and return the rank-7 input.
+        base = random_ctd((6, 5, 7), 3, low=-1, high=1, rng=np.random.default_rng(seed))
+        W = add(base, base)
+        U = add(W, spike_ctd((6, 5, 7), (0, 0, 0), 1e-8 * frobenius_norm(W)))
+        res = reduce(U, ReductionConfig(epsilon=1e-10, norm="snorm"))
+        assert res.rank == 4
+        assert res.tolerance_met
+        assert dense_rel_error(U, res.ctd) <= 1e-10
+
     def test_exactly_dependent_minimal_rank(self, rng):
         # Three distinct directions, each duplicated: minimal rank is 3.
         parts = [random_signed_ctd((4, 4, 4), 1, rng) for _ in range(3)]
@@ -245,7 +260,7 @@ class TestInterpolative:
         A = spike_ctd((4, 4), (0, 0), 2.0)
         B = spike_ctd((4, 4), (3, 3), 2.0)
         U = add(A, B)
-        pivots, _, _, indefinite = reduction_mod._pivoted_cholesky_lazy(U)
+        pivots, _, indefinite = reduction_mod._pivoted_cholesky_lazy(U)
         assert not indefinite
         assert pivots[0] == 0
 
@@ -435,9 +450,10 @@ class TestSkeletonResidual:
         R = reduction_mod._skeleton_residual(U, S, c)
         assert self.dense_gap(U, V, R) <= tol
         # the refit's own coefficients, at every skeleton size
-        pivots, _, C, _ = reduction_mod._pivoted_cholesky_lazy(U)
+        pivots, L, _ = reduction_mod._pivoted_cholesky_lazy(U)
         for k in range(1, len(pivots)):
-            V, c = reduction_mod._skeleton_ctd_from_cols(U, C, pivots, k)
+            V = reduction_mod._skeleton_ctd(U, L, pivots, k)
+            c = reduction_mod._skeleton_coefficients(L, pivots, k)
             R = reduction_mod._skeleton_residual(U, pivots[:k], c)
             assert self.dense_gap(U, V, R) <= tol
             # R shares U's factors and has U's rank
@@ -511,13 +527,13 @@ class TestStoppedCholesky:
 
     @staticmethod
     def _run(U, bound=None):
-        """(pivots, L, C, indefinite, offers): the Cholesky of U whose
+        """(pivots, L, indefinite, offers): the Cholesky of U whose
         ``accept`` records each offer as (k, res), stopped at ``bound``."""
         offers = []
 
-        def accept(pivots, L, C, res):
+        def accept(pivots, L, res):
             k = len(pivots)
-            assert L.shape[1] == C.shape[1] == k
+            assert L.shape[1] == k
             offers.append((k, res))
             return bound is not None and np.sqrt(max(res, 0.0)) <= bound
 
@@ -533,7 +549,7 @@ class TestStoppedCholesky:
     @given(_small_ctds, st.integers(0, 7), st.just(1.0) | st.floats(0.5, 2.0))
     def test_prefix_of_full_factorization(self, U, pick, factor):
         *full, offers = self._run(U)
-        piv, L, C, indef = full
+        piv, L, indef = full
         rem = np.array([res for _, res in offers])
         # every skeleton is offered in order; an exhausted diagonal offers
         # the last one once more, with residual 0
@@ -546,11 +562,10 @@ class TestStoppedCholesky:
         met = np.flatnonzero(cert <= bound)
         stop = met[0] + 1 if met.size else len(offers)
         steps = offers[stop - 1][0] if met.size else len(piv)
-        s_piv, s_L, s_C, s_indef, s_offers = self._run(U, bound)
+        s_piv, s_L, s_indef, s_offers = self._run(U, bound)
         assert len(s_piv) == steps
         assert np.array_equal(s_piv, piv[:steps])
         assert np.array_equal(s_L, L[:, :steps])
-        assert np.array_equal(s_C, C[:, :steps])
         assert s_offers == offers[:stop]
         assert s_indef == (indef and not met.size)
 
@@ -558,8 +573,9 @@ class TestStoppedCholesky:
     @given(_small_ctds, st.integers(0, 7))
     def test_lazy_picks_the_same_pivots(self, U, pick):
         # The column-fetch factorization agrees with a dense pivoted
-        # Cholesky of the dense term Gram: same pivots, and columns, factor
-        # and remaining mass equal up to roundoff.
+        # Cholesky of the dense term Gram: same pivots, and the pivots' Gram
+        # columns (from the factor), factor and remaining mass equal up to
+        # roundoff.
         G = dense_term_gram(U)
         scale_ = np.trace(G)
         _, _, rem = dense_pivoted_cholesky(G, 0.0)
@@ -568,10 +584,10 @@ class TestStoppedCholesky:
         bound, _ = self._bound(rem, pick, 1.001)
         bound = max(bound, 1e-6 * np.sqrt(scale_))
         piv, L, rem = dense_pivoted_cholesky(G, bound)
-        l_piv, l_L, l_C, l_indef, offers = self._run(U, bound)
+        l_piv, l_L, l_indef, offers = self._run(U, bound)
         assert not l_indef
         assert np.array_equal(l_piv, piv)
-        assert_allclose(l_C, G[:, piv], rtol=0, atol=1e-12 * scale_)
+        assert_allclose(l_L @ l_L[piv].T, G[:, piv], rtol=0, atol=1e-12 * scale_)
         assert_allclose(l_L, L, rtol=0, atol=1e-10 * np.sqrt(scale_))
         assert [k for k, _ in offers] == list(range(1, len(piv) + 1))
         assert_allclose([res for _, res in offers], rem, rtol=0, atol=1e-12 * scale_)
@@ -588,11 +604,11 @@ class TestStoppedCholesky:
         for uu in (None, inner(U, U)):
             offers = []
 
-            def accept(pivots, L, C, res):
+            def accept(pivots, L, res):
                 offers.append((len(pivots), res))
                 return False
 
-            pivots, _, _, indefinite = reduction_mod._pivoted_cholesky_lazy(U, accept, uu=uu)
+            pivots, _, indefinite = reduction_mod._pivoted_cholesky_lazy(U, accept, uu=uu)
             assert not indefinite
             assert len(pivots) == 1, uu
             assert offers[-1] == (1, 0.0), uu
@@ -767,15 +783,15 @@ _dependent_args = (
 
 
 def frobenius_id_pivots(U, epsilon):
-    """The pivots and Gram columns of the Frobenius ID search on U at
+    """The pivots and Cholesky factor of the Frobenius ID search on U at
     ``epsilon``, as :func:`reduce` factors them."""
     uu = inner(U, U)
     goal = epsilon * np.sqrt(uu)
-    pivots, _, C, indefinite = reduction_mod._pivoted_cholesky_lazy(
-        U, lambda pivots, L, C, res: np.sqrt(max(res, 0.0)) <= goal, uu=uu,
+    pivots, L, indefinite = reduction_mod._pivoted_cholesky_lazy(
+        U, lambda pivots, L, res: np.sqrt(max(res, 0.0)) <= goal, uu=uu,
         max_pivots=U.rank - 1)
     assert not indefinite
-    return pivots, C
+    return pivots, L
 
 
 class TestFrobeniusContract:
@@ -806,11 +822,11 @@ class TestFrobeniusContract:
         assert abs(res.rel_error - dense_rel_error(U, res.ctd)) <= allowance
         if res.rank == U.rank:
             return
-        pivots, C = frobenius_id_pivots(U, epsilon)
+        pivots, L = frobenius_id_pivots(U, epsilon)
         k = res.rank
         assert len(pivots) == k
         if k > 1:
-            shorter, _ = reduction_mod._skeleton_ctd_from_cols(U, C, pivots, k - 1)
+            shorter = reduction_mod._skeleton_ctd(U, L, pivots, k - 1)
             assert dense_rel_error(U, shorter) > epsilon - allowance
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1412,10 +1428,10 @@ class TestSnormFlatteningBound:
                 reported = res.rel_error * s_norm(U)
                 assert flattening_norm(T) <= reported * (1 + 1e-12), seed
             half_factor, _ = reduction_mod._split_gram(U)
-            pivots, _, C, indefinite = reduction_mod._pivoted_cholesky_lazy(U)
+            pivots, L, indefinite = reduction_mod._pivoted_cholesky_lazy(U)
             assert half_factor is not None and not indefinite, seed
             for k in range(1, len(pivots) + 1):
-                c = reduction_mod._skeleton_coefficients(C, pivots, k)
+                c = reduction_mod._skeleton_coefficients(L, pivots, k)
                 w = reduction_mod._skeleton_residual(U, pivots[:k], c).svalues
                 below = flattening_norm(to_dense(CTD(w, U.factors, validate=False)))
                 below *= 1 - 1e-9
